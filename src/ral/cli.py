@@ -151,7 +151,7 @@ def cmd_eval(args):
     summary = {}
     for split, slides in (("train", train_slides), ("val", val_slides)):
         x, y, _ = build_eval_patches(slides, tiling, class_names)
-        patch_pred = net.predict_proba(x, chunk=512).argmax(axis=1)
+        patch_pred = net.predict_proba(x).argmax(axis=1)
         votes = [predict_slide(net, s, window) for s in slides]
         macro_slice, plain_slice = slice_accuracy(votes, truth, n)
         summary[split] = {

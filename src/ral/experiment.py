@@ -63,11 +63,11 @@ def make_evaluator(config, class_names, train_slides, val_slides):
         out = {}
         idx = ts.active_indices()
         if len(idx):
-            preds = net.predict_proba(ts.pixels[idx], chunk=512).argmax(axis=1)
+            preds = net.predict_proba(ts.pixels, idx).argmax(axis=1)
             out["train_patch_acc"] = macro_accuracy(ts.labels()[idx], preds, n)
         else:
             out["train_patch_acc"] = None
-        val_preds = net.predict_proba(val_x, chunk=512).argmax(axis=1)
+        val_preds = net.predict_proba(val_x).argmax(axis=1)
         out["val_patch_acc"] = macro_accuracy(val_y, val_preds, n)
         train_votes = [predict_slide(net, s, window) for s in train_slides]
         out["train_slice_acc"] = slice_accuracy(train_votes, truth, n)[0]

@@ -147,7 +147,7 @@ def finetune(net, ts: TrainingSet, config: RalConfig, adam, rng=None, epoch_offs
                          config.finetune_epochs, None, epoch_offset)
 
 
-def score_training_set(net, ts: TrainingSet, mode="label", chunk=256):
+def score_training_set(net, ts: TrainingSet, mode="label"):
     """Model confidence for every active record, keyed by patch id.
 
     In "label" mode the confidence is the probability the model assigns to
@@ -155,20 +155,14 @@ def score_training_set(net, ts: TrainingSet, mode="label", chunk=256):
     mode it is the probability of the model's favorite class.
     """
     idx = ts.active_indices()
-    scores = {}
-    labels = ts.labels()
-    for start in range(0, len(idx), chunk):
-        take = idx[start:start + chunk]
-        probs = net.forward(ts.pixels[take])
-        if mode == "label":
-            conf = probs[np.arange(len(take)), labels[take]]
-        elif mode == "max":
-            conf = probs.max(axis=1)
-        else:
-            raise ValueError(f"unknown confidence mode {mode!r}")
-        for i, pos in enumerate(take):
-            scores[ts.records[pos].patch_id] = float(conf[i])
-    return scores
+    probs = net.predict_proba(ts.pixels, idx)
+    if mode == "label":
+        conf = probs[np.arange(len(idx)), ts.labels()[idx]]
+    elif mode == "max":
+        conf = probs.max(axis=1)
+    else:
+        raise ValueError(f"unknown confidence mode {mode!r}")
+    return {ts.records[pos].patch_id: float(c) for pos, c in zip(idx, conf)}
 
 
 def prune_by_confidence(ts: TrainingSet, scores, tau):

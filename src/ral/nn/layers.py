@@ -4,11 +4,24 @@ All image tensors are NHWC float arrays: (batch, height, width, channels).
 Layers keep their parameters but no per-call state: ``forward`` returns a
 cache that the matching ``backward`` consumes, so read-only passes can run
 concurrently over the same layer.
+
+Cache contract: a cache is a tuple, and the bool arrays in it are exactly
+the layer's activation pattern (the ReLU mask of a conv or dense layer, the
+routing mask of a max pool). ``gradcheck._signature`` reads those arrays to
+detect finite-difference steps that cross a kink, so a layer must keep its
+pattern there as a bool array and put no other bool or integer array in
+its cache.
+
+Convolution is unfolded into one matrix multiply (Chellapilla, Puri &
+Simard, "High Performance Convolutional Neural Networks for Document
+Processing", IWFHR 2006): every k x k input window becomes one row of a
+patch matrix, and the layer's weights one (k*k*Cin, Cout) matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 SUPPORTED_KERNELS = (1, 3)
 
@@ -17,21 +30,43 @@ def _relu(z):
     return np.maximum(z, 0)
 
 
+def _im2col(x, k):
+    """(B, H, W, C) -> (B*H*W, k*k*C) patch matrix of zero-padded k x k windows.
+
+    Row (b, y, x) holds the window centred on pixel (y, x) of image b, in
+    (di, dj, c) order, so it lines up with ``w.reshape(k * k * C, F)``.
+    """
+    B, H, W, C = x.shape
+    if k == 1:
+        return x.reshape(B * H * W, C)
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    # the k pixels of one window row are k*C consecutive values of an
+    # image row, so windows are taken over flattened rows, one per pixel
+    rows = xp.reshape(B, H + 2 * p, (W + 2 * p) * C)
+    runs = sliding_window_view(rows, k * C, axis=2)[:, :, ::C]   # (B, H+2p, W, k*C)
+    win = sliding_window_view(runs, k, axis=1)                   # (B, H, W, k*C, k)
+    return win.transpose(0, 1, 2, 4, 3).reshape(B * H * W, k * k * C)
+
+
 class Conv2d:
     """Stride-1 convolution with zero "same" padding and optional fused ReLU.
 
     Weights have shape (k, k, in_channels, out_channels); spatial size is
-    preserved, so only pooling layers downsample.
+    preserved, so only pooling layers downsample. With ``input_grad`` off,
+    backward returns None for the input gradient and skips its GEMM; a
+    network turns it off for its first layer, whose input is the data.
     """
 
     def __init__(self, kernel, in_channels, out_channels, activation="relu",
-                 rng=None, dtype=np.float32):
+                 rng=None, dtype=np.float32, input_grad=True):
         if kernel not in SUPPORTED_KERNELS:
             raise ValueError(f"conv kernel must be one of {SUPPORTED_KERNELS}, got {kernel}")
         self.kernel = kernel
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.activation = activation
+        self.input_grad = input_grad
         rng = rng if rng is not None else np.random.default_rng(0)
         fan_in = kernel * kernel * in_channels
         limit = np.sqrt(6.0 / fan_in)
@@ -48,32 +83,32 @@ class Conv2d:
                 f"conv input shape {tuple(x.shape)} does not match weights "
                 f"{tuple(self.w.shape)} (expected {self.in_channels} channels)")
         B, H, W, _ = x.shape
-        k = self.kernel
-        p = k // 2
-        xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))) if p else x
-        z = np.broadcast_to(self.b, (B, H, W, self.out_channels)).astype(x.dtype, copy=True)
-        for di in range(k):
-            for dj in range(k):
-                z += xp[:, di:di + H, dj:dj + W, :] @ self.w[di, dj]
+        cols = _im2col(x, self.kernel)
+        z = cols @ self.w.reshape(-1, self.out_channels)
+        z += self.b
+        z = z.reshape(B, H, W, self.out_channels)
         if self.activation == "relu":
-            y = _relu(z)
-            return y, (xp, z > 0, H, W)
-        return z, (xp, None, H, W)
+            mask = z > 0
+            return np.maximum(z, 0, out=z), (cols, mask, x.shape)
+        return z, (cols, None, x.shape)
 
     def backward(self, dy, cache):
-        xp, mask, H, W = cache
+        """Input gradient (None unless ``input_grad``) and [dw, db].
+
+        dx is the "full" correlation of dz with the kernel turned by 180
+        degrees and its channel axes swapped, so it is one more patch-matrix
+        product, over the zero-padded dz.
+        """
+        cols, mask, in_shape = cache
         dz = dy * mask if mask is not None else dy
-        k = self.kernel
-        p = k // 2
-        dw = np.empty_like(self.w)
-        db = dz.sum(axis=(0, 1, 2))
-        dxp = np.zeros_like(xp)
-        for di in range(k):
-            for dj in range(k):
-                xs = xp[:, di:di + H, dj:dj + W, :]
-                dw[di, dj] = np.tensordot(xs, dz, axes=([0, 1, 2], [0, 1, 2]))
-                dxp[:, di:di + H, dj:dj + W, :] += dz @ self.w[di, dj].T
-        dx = dxp[:, p:p + H, p:p + W, :] if p else dxp
+        k, cout = self.kernel, self.out_channels
+        dz2 = dz.reshape(-1, cout)
+        dw = (cols.T @ dz2).reshape(self.w.shape)
+        db = dz2.sum(axis=0)
+        if not self.input_grad:
+            return None, [dw, db]
+        w_flip = self.w[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k * k * cout, self.in_channels)
+        dx = (_im2col(dz, k) @ w_flip).reshape(in_shape)
         return dx, [dw, db]
 
     def output_shape(self, in_shape):
@@ -98,20 +133,24 @@ class MaxPool2x2:
         B, H, W, C = x.shape
         if H % 2 or W % 2:
             raise ValueError(f"maxpool2x2 requires even spatial dims, got {H}x{W}")
-        H2, W2 = H // 2, W // 2
-        # (B, H2, 2, W2, 2, C) -> window axis last: (B, H2, W2, C, 4)
-        win = x.reshape(B, H2, 2, W2, 2, C).transpose(0, 1, 3, 5, 2, 4).reshape(B, H2, W2, C, 4)
-        arg = win.argmax(axis=4)
-        y = np.take_along_axis(win, arg[..., None], axis=4)[..., 0]
-        return y, (arg, (B, H, W, C))
+        win = x.reshape(B, H // 2, 2, W // 2, 2, C)
+        # the same values as win.max(axis=(2, 4)), without a strided reduction
+        y = np.maximum(np.maximum(win[:, :, 0, :, 0], win[:, :, 0, :, 1]),
+                       np.maximum(win[:, :, 1, :, 0], win[:, :, 1, :, 1]))
+        route = win == y[:, :, None, :, None, :]
+        # keep only the first maximum of each window, in row-major order
+        taken = route[:, :, 0, :, 0].copy()
+        for a, b in ((0, 1), (1, 0), (1, 1)):
+            cell = route[:, :, a, :, b]
+            cell &= ~taken
+            taken |= cell
+        return y, (route,)
 
     def backward(self, dy, cache):
-        arg, (B, H, W, C) = cache
-        H2, W2 = H // 2, W // 2
-        dwin = np.zeros((B, H2, W2, C, 4), dtype=dy.dtype)
-        np.put_along_axis(dwin, arg[..., None], dy[..., None], axis=4)
-        dx = dwin.reshape(B, H2, W2, C, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(B, H, W, C)
-        return dx, []
+        (route,) = cache
+        B, H2, _, W2, _, C = route.shape
+        dx = route * dy[:, :, None, :, None, :]
+        return dx.reshape(B, 2 * H2, 2 * W2, C), []
 
     def output_shape(self, in_shape):
         h, w, c = in_shape

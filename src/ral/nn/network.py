@@ -136,6 +136,10 @@ def build_classifier(input_size, channel_plan=(128, 256, 128), in_channels=3,
 # Index range of the 11-layer extraction trunk inside build_classifier's layout.
 TRUNK_SLICE = slice(2, 13)
 
+# Samples per forward() call in predict_proba. Per-record time is flat from
+# 32 to 256 samples, while the patch matrices grow with the chunk.
+PREDICT_CHUNK = 64
+
 
 class Network:
     """A NetworkSpec with materialized parameters.
@@ -156,7 +160,9 @@ class Network:
         cur = tuple(spec.input)
         for ls in spec.layers:
             if ls.kind == "conv":
-                layer = Conv2d(ls.kernel, cur[2], ls.channels, ls.activation, rng, dtype)
+                # nothing reads the gradient of the network's input
+                layer = Conv2d(ls.kernel, cur[2], ls.channels, ls.activation, rng, dtype,
+                               input_grad=len(self.layers) > 0)
             elif ls.kind == "maxpool":
                 layer = MaxPool2x2()
             elif ls.kind == "avgpool":
@@ -199,11 +205,19 @@ class Network:
         """Class probabilities, one row per sample; rows sum to 1."""
         return softmax(self.logits(batch))
 
-    def predict_proba(self, batch, chunk=256):
-        """forward() in fixed-size chunks, for large read-only passes."""
-        if len(batch) <= chunk:
-            return self.forward(batch)
-        return np.concatenate([self.forward(batch[i:i + chunk]) for i in range(0, len(batch), chunk)])
+    def predict_proba(self, batch, rows=None):
+        """Class probabilities of batch[rows], or of all of batch, for read-only passes.
+
+        forward() runs on PREDICT_CHUNK samples at a time, and only those
+        samples are gathered from batch. The fixed chunk bounds the memory
+        a pass holds at once, and keeps every pass's arithmetic, and so its
+        bytes, independent of the caller's batch size.
+        """
+        rows = np.arange(len(batch)) if rows is None else rows
+        if len(rows) <= PREDICT_CHUNK:
+            return self.forward(batch[rows])
+        return np.concatenate([self.forward(batch[rows[i:i + PREDICT_CHUNK]])
+                               for i in range(0, len(rows), PREDICT_CHUNK)])
 
     def loss_and_grads(self, batch, labels, with_logits=False):
         """Mean cross-entropy over the batch and gradients for parameters()."""
@@ -231,7 +245,7 @@ def _clone_layers(layers, dtype):
         if isinstance(layer, Conv2d):
             c = Conv2d.__new__(Conv2d)
             c.kernel, c.in_channels, c.out_channels = layer.kernel, layer.in_channels, layer.out_channels
-            c.activation = layer.activation
+            c.activation, c.input_grad = layer.activation, layer.input_grad
             c.w = layer.w.astype(dtype)
             c.b = layer.b.astype(dtype)
             out.append(c)

@@ -201,7 +201,7 @@ def build_training_set(slides, spec: TilingSpec, class_names=None):
     for slide in slides:
         for _, crop in tile(slide, spec):
             chunks.extend(augment8(crop))
-    pixels = np.stack(chunks).astype(np.float32)
+    pixels = np.stack(chunks).astype(np.float32, copy=False)
     if len(pixels) != len(records):
         raise AssertionError("pixel/record count mismatch")
     return TrainingSet(class_names, records, pixels)

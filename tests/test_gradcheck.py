@@ -2,6 +2,7 @@ import numpy as np
 
 from ral.nn import (Conv2d, LayerSpec, Network, NetworkSpec, build_classifier,
                     gradient_check)
+from ral.nn.gradcheck import _signature
 
 
 def make_batch(shape, seed, n_classes=4):
@@ -72,3 +73,28 @@ def test_report_flags_broken_gradient(monkeypatch):
     report = gradient_check(net, x, labels)
     assert not report.ok
     assert any(not t.ok for t in report.tensors)
+
+
+def test_signature_tracks_pool_winner():
+    # 1x1 identity conv with ReLU, then a pool: on a positive input every
+    # ReLU mask is all-true, so only the pool's routing can move the signature
+    spec = NetworkSpec(
+        (4, 4, 1),
+        (LayerSpec("conv", 1, 1, "relu"), LayerSpec("maxpool", 2),
+         LayerSpec("avgpool"), LayerSpec("dense", channels=2)),
+        2)
+    net = Network(spec, seed=7)
+    net.layers[0].w[:] = 1.0
+    x = np.arange(1, 17, dtype=np.float32).reshape(1, 4, 4, 1)
+
+    def signature(batch):
+        _, caches = net.logits(batch, keep_caches=True)
+        return _signature(caches)
+
+    base = signature(x)
+    loser_moved = x.copy()
+    loser_moved[0, 0, 0, 0] += 0.5  # 1.5 still loses to 6 in its window
+    assert signature(loser_moved) == base
+    winner_changed = x.copy()
+    winner_changed[0, 0, 0, 0] = 100.0
+    assert signature(winner_changed) != base

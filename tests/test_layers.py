@@ -26,6 +26,31 @@ def conv3x3_reference(x, w, b):
     return out
 
 
+def conv_grads_reference(x, w, z, g, relu):
+    # direct-loop gradients of the scalar loss sum(g * conv(x)) with respect
+    # to x, w and b; z is the pre-activation output from the forward oracle
+    B, H, W, Cin = x.shape
+    k, _, _, F = w.shape
+    p = k // 2
+    dz = g * (z > 0) if relu else g
+    dx = np.zeros_like(x)
+    dw = np.zeros_like(w)
+    db = np.zeros(F)
+    for n in range(B):
+        for y in range(H):
+            for xx in range(W):
+                for f in range(F):
+                    db[f] += dz[n, y, xx, f]
+                    for di in range(k):
+                        for dj in range(k):
+                            yy, xj = y + di - p, xx + dj - p
+                            if 0 <= yy < H and 0 <= xj < W:
+                                for c in range(Cin):
+                                    dx[n, yy, xj, c] += dz[n, y, xx, f] * w[di, dj, c, f]
+                                    dw[di, dj, c, f] += dz[n, y, xx, f] * x[n, yy, xj, c]
+    return dx, dw, db
+
+
 class TestConv2d:
     def test_identity_1x1(self):
         rng = np.random.default_rng(0)
@@ -65,6 +90,30 @@ class TestConv2d:
     def test_kernel_restricted(self):
         with pytest.raises(ValueError):
             Conv2d(5, 1, 1)
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("activation", ["none", "relu"])
+    def test_backward_matches_direct_loop_oracle(self, kernel, activation):
+        rng = np.random.default_rng(8 + kernel)
+        x = rng.standard_normal((2, 4, 5, 3)).astype(np.float32)
+        conv = Conv2d(kernel, 3, 2, activation=activation, rng=rng)
+        conv.b[:] = rng.standard_normal(2).astype(np.float32)
+        y, cache = conv.forward(x)
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        dx, (dw, db) = conv.backward(g, cache)
+        x64, w64 = x.astype(np.float64), conv.w.astype(np.float64)
+        z = conv3x3_reference(x64, w64, conv.b.astype(np.float64))
+        ref_dx, ref_dw, ref_db = conv_grads_reference(
+            x64, w64, z, g.astype(np.float64), activation == "relu")
+        assert dx.shape == x.shape and dw.shape == conv.w.shape
+        np.testing.assert_allclose(dx, ref_dx, atol=1e-5)
+        np.testing.assert_allclose(dw, ref_dw, atol=1e-5)
+        np.testing.assert_allclose(db, ref_db, atol=1e-5)
+        conv.input_grad = False
+        no_dx, (dw2, db2) = conv.backward(g, cache)
+        assert no_dx is None
+        np.testing.assert_array_equal(dw2, dw)
+        np.testing.assert_array_equal(db2, db)
 
     def test_forward_finite_on_finite_input(self):
         rng = np.random.default_rng(2)
@@ -107,6 +156,15 @@ class TestMaxPool:
         assert dx.sum() == pytest.approx(dy.sum(), rel=1e-6)
         nonzero_per_window = (dx.reshape(2, 3, 2, 3, 2, 3) != 0).sum(axis=(2, 4))
         np.testing.assert_array_equal(nonzero_per_window, np.ones((2, 3, 3, 3)))
+
+    def test_tied_window_routes_to_first_position(self):
+        x = np.full((1, 2, 2, 1), 0.5, dtype=np.float32)
+        pool = MaxPool2x2()
+        _, cache = pool.forward(x)
+        dx, _ = pool.backward(np.array([[[[3.0]]]], dtype=np.float32), cache)
+        expected = np.zeros((1, 2, 2, 1), dtype=np.float32)
+        expected[0, 0, 0, 0] = 3.0
+        np.testing.assert_array_equal(dx, expected)
 
 
 class TestGlobalAvgPool:

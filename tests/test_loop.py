@@ -106,7 +106,7 @@ class TestScore:
     def test_matches_single_patch_oracle(self):
         ts = toy_set(n_per_class=3)
         net = dense_net(seed=7)
-        scores = score_training_set(net, ts, chunk=64)
+        scores = score_training_set(net, ts)
         for r in ts.records:
             probs = net.forward(ts.pixels_of(r.patch_id)[None])
             assert scores[r.patch_id] == pytest.approx(float(probs[0, r.label]), abs=1e-6)
