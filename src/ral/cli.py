@@ -28,11 +28,10 @@ from .dataset import class_names_of, load_dataset
 from .experiment import build_network_for, run_experiment
 from .imageio import load_image, save_image
 from .loop import initial_train
-from .metrics import macro_accuracy
 from .nn import load_checkpoint, save_checkpoint
-from .patches import (SlideImage, SlideMeta, TilingSpec, build_eval_patches,
-                      build_manifest, build_training_set, manifest_to_dicts)
-from .slices import predict_slide, render_class_map, slice_accuracy
+from .patches import (VARIANTS, SlideImage, SlideMeta, TilingSpec, build_manifest,
+                      build_training_set, manifest_to_dicts)
+from .slices import evaluate_slides, predict_slide, render_class_map
 from .synth import generate, write_dataset
 
 
@@ -85,15 +84,14 @@ def cmd_tile(args):
     train_slides, val_slides, class_names, _ = load_dataset(
         _dataset_path(config), config.val_fraction, config.seed)
     tiling = TilingSpec(config.tiling.window, config.tiling.stride)
-    records = build_manifest(
+    manifest = build_manifest(
         [SlideMeta(s.slide_id, s.class_label, s.height, s.width) for s in train_slides],
         tiling, class_names)
     with output_lock(out):
         (out / "manifest.json").write_text(
-            json.dumps(manifest_to_dicts(records, class_names), indent=1) + "\n")
-    groups = len({r.group_id for r in records})
+            json.dumps(manifest_to_dicts(manifest), indent=1) + "\n")
     print(f"tiled {len(train_slides)} training slides ({len(val_slides)} held out): "
-          f"{groups} patch groups, {len(records)} augmented records "
+          f"{len(manifest) // VARIANTS} patch groups, {len(manifest)} augmented records "
           f"-> {out / 'manifest.json'}")
     return 0
 
@@ -143,22 +141,8 @@ def cmd_eval(args):
     net = load_checkpoint(args.checkpoint)
     train_slides, val_slides, class_names, _ = load_dataset(
         _dataset_path(config), config.val_fraction, config.seed)
-    n = len(class_names)
-    window = config.eval_window
-    tiling = TilingSpec(window, window)
-    truth = {s.slide_id: class_names.index(s.class_label)
-             for s in train_slides + val_slides}
-    summary = {}
-    for split, slides in (("train", train_slides), ("val", val_slides)):
-        x, y, _ = build_eval_patches(slides, tiling, class_names)
-        patch_pred = net.predict_proba(x).argmax(axis=1)
-        votes = [predict_slide(net, s, window) for s in slides]
-        macro_slice, plain_slice = slice_accuracy(votes, truth, n)
-        summary[split] = {
-            "patch_acc": macro_accuracy(y, patch_pred, n),
-            "slice_acc": macro_slice,
-            "slice_acc_plain": plain_slice,
-        }
+    summary = {split: evaluate_slides(net, slides, config.eval_window, class_names)
+               for split, slides in (("train", train_slides), ("val", val_slides))}
     with output_lock(out):
         (out / "eval.json").write_text(json.dumps(summary, indent=1) + "\n")
     for split, row in summary.items():

@@ -9,17 +9,17 @@ run. The resolved configuration is embedded verbatim in every report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .loop import RalConfig
 from .synth import SynthSpec
 
 
-def _take(d, cls_name, allowed):
-    unknown = set(d) - set(allowed)
+def _take(d, section, cls):
+    unknown = set(d) - {f.name for f in fields(cls)}
     if unknown:
-        raise ValueError(f"unknown {cls_name} config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {section} config keys: {sorted(unknown)}")
 
 
 @dataclass
@@ -29,11 +29,11 @@ class TilingSection:
 
     @staticmethod
     def from_dict(d):
-        _take(d, "tiling", {"window", "stride"})
+        _take(d, "tiling", TilingSection)
         return TilingSection(**d)
 
     def to_dict(self):
-        return {"window": self.window, "stride": self.stride}
+        return asdict(self)
 
 
 @dataclass
@@ -43,7 +43,7 @@ class NetworkSection:
 
     @staticmethod
     def from_dict(d):
-        _take(d, "network", {"channel_plan", "stem_channels"})
+        _take(d, "network", NetworkSection)
         out = NetworkSection(**d)
         out.channel_plan = tuple(out.channel_plan)
         return out
@@ -69,21 +69,16 @@ class RalSection:
     confidence_mode: str = "label"
     fresh_optimizer: bool = False
 
-    KEYS = ("tau", "group_threshold", "iterations", "max_epochs",
-            "target_train_accuracy", "finetune_epochs", "batch_size",
-            "learning_rate", "beta1", "beta2", "epsilon",
-            "confidence_mode", "fresh_optimizer")
-
     @staticmethod
     def from_dict(d):
-        _take(d, "ral", RalSection.KEYS)
+        _take(d, "ral", RalSection)
         return RalSection(**d)
 
     def to_dict(self):
-        return {k: getattr(self, k) for k in self.KEYS}
+        return asdict(self)
 
     def build(self, seed):
-        return RalConfig(seed=seed, **{k: getattr(self, k) for k in self.KEYS})
+        return RalConfig(seed=seed, **asdict(self))
 
 
 @dataclass
@@ -98,24 +93,20 @@ class SyntheticSection:
     texture_amplitude: float = 0.25
     val_fraction: float = 0.2
 
-    KEYS = ("classes", "slide_size", "window", "stride", "slides_per_class",
-            "contamination_rho", "noise_sigma", "texture_amplitude",
-            "val_fraction")
-
     @staticmethod
     def from_dict(d):
-        _take(d, "synthetic", SyntheticSection.KEYS)
+        _take(d, "synthetic", SyntheticSection)
         out = SyntheticSection(**d)
         out.slide_size = tuple(out.slide_size)
         return out
 
     def to_dict(self):
-        d = {k: getattr(self, k) for k in self.KEYS}
+        d = asdict(self)
         d["slide_size"] = list(self.slide_size)
         return d
 
     def build(self, seed):
-        return SynthSpec(seed=seed, **{k: getattr(self, k) for k in self.KEYS})
+        return SynthSpec(seed=seed, **asdict(self))
 
 
 @dataclass
@@ -129,12 +120,9 @@ class ExperimentConfig:
     ral: RalSection = field(default_factory=RalSection)
     synthetic: SyntheticSection = field(default_factory=SyntheticSection)
 
-    TOP_KEYS = ("seed", "dataset_path", "output_dir", "val_fraction",
-                "tiling", "network", "ral", "synthetic")
-
     @staticmethod
     def from_dict(d):
-        _take(d, "experiment", ExperimentConfig.TOP_KEYS)
+        _take(d, "experiment", ExperimentConfig)
         cfg = ExperimentConfig(
             seed=d.get("seed", 0),
             dataset_path=d.get("dataset_path"),

@@ -22,10 +22,9 @@ from pathlib import Path
 from .config import ExperimentConfig
 from .dataset import load_dataset
 from .loop import run_ral
-from .metrics import macro_accuracy
 from .nn import Network, build_classifier, save_checkpoint
-from .patches import TilingSpec, build_eval_patches, build_training_set
-from .slices import predict_slide, slice_accuracy
+from .patches import TilingSpec, build_training_set
+from .slices import evaluate_slides
 from .synth import oracle_eval
 
 
@@ -46,34 +45,21 @@ def build_network_for(config: ExperimentConfig, class_names, in_channels):
 
 
 def make_evaluator(config, class_names, train_slides, val_slides):
-    """The four per-iteration accuracy numbers.
+    """Three of the four per-iteration accuracy numbers (run_ral supplies
+    the train patch accuracy from its own pass over the active records).
 
-    Patch accuracies are macro averages: over the active (augmented)
-    training records, and over raw window-grid patches of the validation
-    slides. Slice accuracies run the full tile-vote path per slide.
+    Every number comes from one non-overlapping grid pass per slide: the
+    validation patch accuracy is the macro accuracy of the validation
+    cells, and the slice accuracies are the macro accuracies of the votes.
     """
-    n = len(class_names)
     window = config.eval_window
-    val_x, val_y, _ = build_eval_patches(val_slides, TilingSpec(window, window),
-                                         class_names)
-    truth = {s.slide_id: class_names.index(s.class_label)
-             for s in train_slides + val_slides}
 
-    def evaluator(net, ts):
-        out = {}
-        idx = ts.active_indices()
-        if len(idx):
-            preds = net.predict_proba(ts.pixels, idx).argmax(axis=1)
-            out["train_patch_acc"] = macro_accuracy(ts.labels()[idx], preds, n)
-        else:
-            out["train_patch_acc"] = None
-        val_preds = net.predict_proba(val_x).argmax(axis=1)
-        out["val_patch_acc"] = macro_accuracy(val_y, val_preds, n)
-        train_votes = [predict_slide(net, s, window) for s in train_slides]
-        out["train_slice_acc"] = slice_accuracy(train_votes, truth, n)[0]
-        val_votes = [predict_slide(net, s, window) for s in val_slides]
-        out["val_slice_acc"] = slice_accuracy(val_votes, truth, n)[0]
-        return out
+    def evaluator(net):
+        train = evaluate_slides(net, train_slides, window, class_names)
+        val = evaluate_slides(net, val_slides, window, class_names)
+        return {"val_patch_acc": val["patch_acc"],
+                "train_slice_acc": train["slice_acc"],
+                "val_slice_acc": val["slice_acc"]}
 
     return evaluator
 
@@ -88,7 +74,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, write=True):
 
     tiling = TilingSpec(config.tiling.window, config.tiling.stride)
     ts = build_training_set(train_slides, tiling, class_names)
-    population = [r.patch_id for r in ts.records]
+    population = ts.patch_ids()
     in_channels = train_slides[0].pixels.shape[2]
     net = build_network_for(config, class_names, in_channels)
     evaluator = make_evaluator(config, class_names, train_slides, val_slides)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .metrics import macro_accuracy
 from .nn import Adam
 from .patches import TrainingSet, VARIANTS
 
@@ -99,7 +100,6 @@ def _train_epochs(net, ts: TrainingSet, config: RalConfig, adam, rng,
                   max_epochs, target_accuracy=None, epoch_offset=0):
     """Seeded mini-batch training on the active records. Returns EpochStats."""
     log = []
-    labels = ts.labels()
     for e in range(max_epochs):
         idx = ts.active_indices()
         if len(idx) == 0:
@@ -110,7 +110,7 @@ def _train_epochs(net, ts: TrainingSet, config: RalConfig, adam, rng,
         for start in range(0, len(order), config.batch_size):
             take = order[start:start + config.batch_size]
             x = ts.pixels[take]
-            y = labels[take]
+            y = ts.label[take]
             loss, grads, logits = net.loss_and_grads(x, y, with_logits=True)
             adam.step(net.parameters(), grads)
             total_loss += loss * len(take)
@@ -148,39 +148,40 @@ def finetune(net, ts: TrainingSet, config: RalConfig, adam, rng=None, epoch_offs
 
 
 def score_training_set(net, ts: TrainingSet, mode="label"):
-    """Model confidence for every active record, keyed by patch id.
+    """One read-only pass over the active records.
 
-    In "label" mode the confidence is the probability the model assigns to
-    the record's own label (low = the model disputes the label); in "max"
-    mode it is the probability of the model's favorite class.
+    Returns (conf, pred), two len(ts) arrays set on active rows only: the
+    model's confidence (float64, NaN elsewhere) and its argmax class (-1
+    elsewhere). In "label" mode the confidence is the probability the model
+    assigns to the record's own label (low = the model disputes the label);
+    in "max" mode it is the probability of the model's favorite class.
     """
+    if mode not in ("label", "max"):
+        raise ValueError(f"unknown confidence mode {mode!r}")
     idx = ts.active_indices()
     probs = net.predict_proba(ts.pixels, idx)
+    conf = np.full(len(ts), np.nan)
+    pred = np.full(len(ts), -1, dtype=np.intp)
     if mode == "label":
-        conf = probs[np.arange(len(idx)), ts.labels()[idx]]
-    elif mode == "max":
-        conf = probs.max(axis=1)
+        conf[idx] = probs[np.arange(len(idx)), ts.label[idx]]
     else:
-        raise ValueError(f"unknown confidence mode {mode!r}")
-    return {ts.records[pos].patch_id: float(c) for pos, c in zip(idx, conf)}
+        conf[idx] = probs.max(axis=1)
+    pred[idx] = probs.argmax(axis=1)
+    return conf, pred
 
 
-def prune_by_confidence(ts: TrainingSet, scores, tau):
-    """Deactivate active records scoring strictly below tau.
+def prune_by_confidence(ts: TrainingSet, conf, tau):
+    """Deactivate active records whose confidence is strictly below tau.
 
-    Returns the removed patch ids sorted. Every active record must have a
-    score; a gap means the scoring pass and the set went out of sync.
+    ``conf`` holds one score per record. Returns the removed record
+    indices, ascending. Every active record must have a score; a NaN means
+    the scoring pass and the set went out of sync.
     """
-    removed = []
-    for r in ts.records:
-        if not r.active:
-            continue
-        if r.patch_id not in scores:
-            raise ValueError(f"no confidence score for active record {r.patch_id}")
-        if scores[r.patch_id] < tau:
-            removed.append(r.patch_id)
-    ts.deactivate(removed)
-    return sorted(removed)
+    if np.isnan(conf[ts.active]).any():
+        raise ValueError("no confidence score for an active record")
+    removed = np.flatnonzero(ts.active & (conf < tau))
+    ts.active[removed] = False
+    return removed
 
 
 def prune_by_group(ts: TrainingSet, removed_this_round, group_threshold=4):
@@ -188,54 +189,58 @@ def prune_by_group(ts: TrainingSet, removed_this_round, group_threshold=4):
 
     For each augmentation group, if strictly more than ``group_threshold``
     of its 8 variants were removed this round, the group's surviving
-    members are deactivated too. Returns those extra patch ids sorted.
+    members are deactivated too. Returns their record indices, ascending.
     """
-    round_counts = {}
-    for pid in removed_this_round:
-        gid = ts.record(pid).group_id
-        round_counts[gid] = round_counts.get(gid, 0) + 1
-    extra = []
-    for r in ts.records:
-        if r.active and round_counts.get(r.group_id, 0) > group_threshold:
-            extra.append(r.patch_id)
-    ts.deactivate(extra)
-    return sorted(extra)
+    counts = np.bincount(ts.group[removed_this_round], minlength=ts.group.max() + 1)
+    extra = np.flatnonzero(ts.active & (counts[ts.group] > group_threshold))
+    ts.active[extra] = False
+    return extra
 
 
 def run_ral(net, ts: TrainingSet, config: RalConfig, evaluator=None):
-    """Initial fit, then K rounds of score -> prune -> group-prune -> finetune.
+    """Initial fit, then K rounds of prune -> group-prune -> finetune.
 
-    ``evaluator(net, ts)`` may supply the four accuracy fields of each
-    IterationReport (patch/slice x train/val); without one they stay None.
-    Returns a RalResult with K+1 reports (row 0 is the unpruned baseline),
-    the removal audit trail, and the epochs actually spent.
+    After each training phase one read-only pass over the active records
+    gives the round's ``train_patch_acc`` and the next round's confidences.
+    ``evaluator(net)`` may supply the other three accuracy fields of each
+    IterationReport (patch/val, slice/train, slice/val); without one they
+    stay None. Returns a RalResult with K+1 reports (row 0 is the unpruned
+    baseline), the removal audit trail, and the epochs actually spent.
     """
     adam = config.make_optimizer()
     rng = np.random.default_rng(config.seed)
 
-    def measure():
-        return evaluator(net, ts) if evaluator is not None else {}
+    def measure(report):
+        if evaluator is not None:
+            for key, value in evaluator(net).items():
+                setattr(report, key, value)
+        result.reports.append(report)
+
+    def score_and_measure(report):
+        conf, pred = score_training_set(net, ts, config.confidence_mode)
+        idx = ts.active_indices()
+        report.train_patch_acc = macro_accuracy(ts.label[idx], pred[idx], len(ts.class_names))
+        measure(report)
+        return conf
 
     log0 = initial_train(net, ts, config, adam, rng)
+    result = RalResult([], total_epochs=len(log0), epoch_logs=[log0])
     n0 = ts.n_active
-    reports = [IterationReport(0, n0, 0, 0, n0, **measure())]
-    result = RalResult(reports, total_epochs=len(log0), epoch_logs=[log0])
+    conf = score_and_measure(IterationReport(0, n0, 0, 0, n0))
 
     for k in range(1, config.iterations + 1):
         before = ts.n_active
-        scores = score_training_set(net, ts, config.confidence_mode)
-        removed_conf = prune_by_confidence(ts, scores, config.tau)
+        removed_conf = prune_by_confidence(ts, conf, config.tau)
         removed_group = prune_by_group(ts, removed_conf, config.group_threshold)
-        result.audit.extend((k, pid, "confidence") for pid in removed_conf)
-        result.audit.extend((k, pid, "group") for pid in removed_group)
+        # audit rows within a round and reason run in patch id order
+        result.audit.extend((k, pid, "confidence") for pid in sorted(ts.patch_ids(removed_conf)))
+        result.audit.extend((k, pid, "group") for pid in sorted(ts.patch_ids(removed_group)))
         after = ts.n_active
         report = IterationReport(k, before, len(removed_conf), len(removed_group), after)
         if not report.reconciles():
             raise AssertionError(f"iteration {k} bookkeeping does not reconcile: {report}")
         if after == 0:
-            for key, value in measure().items():
-                setattr(report, key, value)
-            reports.append(report)
+            measure(report)
             result.status = "empty_refined_set"
             return result
         if config.fresh_optimizer:
@@ -243,7 +248,5 @@ def run_ral(net, ts: TrainingSet, config: RalConfig, evaluator=None):
         log_k = finetune(net, ts, config, adam, rng, epoch_offset=result.total_epochs)
         result.total_epochs += len(log_k)
         result.epoch_logs.append(log_k)
-        for key, value in measure().items():
-            setattr(report, key, value)
-        reports.append(report)
+        conf = score_and_measure(report)
     return result

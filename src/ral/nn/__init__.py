@@ -1,4 +1,4 @@
-from .adam import Adam, adam_step
+from .adam import Adam
 from .checkpoint import load_checkpoint, save_checkpoint
 from .gradcheck import gradient_check
 from .layers import Conv2d, Dense, GlobalAvgPool, MaxPool2x2
@@ -7,7 +7,7 @@ from .network import (LayerSpec, Network, NetworkSpec, TRUNK_SLICE,
                       build_classifier)
 
 __all__ = [
-    "Adam", "adam_step", "load_checkpoint", "save_checkpoint",
+    "Adam", "load_checkpoint", "save_checkpoint",
     "gradient_check", "Conv2d", "Dense", "GlobalAvgPool", "MaxPool2x2",
     "softmax", "softmax_cross_entropy", "softmax_cross_entropy_batch",
     "LayerSpec", "Network", "NetworkSpec", "TRUNK_SLICE", "build_classifier",

@@ -52,8 +52,3 @@ class Adam:
         self.m = None
         self.v = None
 
-
-def adam_step(params, grads, state: Adam):
-    """Functional wrapper: one in-place update step, returns (params, state)."""
-    state.step(params, grads)
-    return params, state

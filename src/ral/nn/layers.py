@@ -111,12 +111,6 @@ class Conv2d:
         dx = (_im2col(dz, k) @ w_flip).reshape(in_shape)
         return dx, [dw, db]
 
-    def output_shape(self, in_shape):
-        h, w, c = in_shape
-        if c != self.in_channels:
-            raise ValueError(f"conv expects {self.in_channels} input channels, layer input is {in_shape}")
-        return (h, w, self.out_channels)
-
 
 class MaxPool2x2:
     """Disjoint 2x2 max pooling, stride 2. Input height/width must be even.
@@ -152,12 +146,6 @@ class MaxPool2x2:
         dx = route * dy[:, :, None, :, None, :]
         return dx.reshape(B, 2 * H2, 2 * W2, C), []
 
-    def output_shape(self, in_shape):
-        h, w, c = in_shape
-        if h % 2 or w % 2:
-            raise ValueError(f"maxpool2x2 requires even spatial dims, got {h}x{w}")
-        return (h // 2, w // 2, c)
-
 
 class GlobalAvgPool:
     """Channel-wise mean over all spatial positions: (B,H,W,C) -> (B,C)."""
@@ -174,9 +162,6 @@ class GlobalAvgPool:
         H, W = cache
         dx = np.repeat(np.repeat(dy[:, None, None, :], H, axis=1), W, axis=2) / (H * W)
         return dx, []
-
-    def output_shape(self, in_shape):
-        return (in_shape[2],)
 
 
 class Dense:
@@ -213,9 +198,3 @@ class Dense:
         db = dz.sum(axis=0)
         dx = (dz @ self.w.T).reshape(in_shape)
         return dx, [dw, db]
-
-    def output_shape(self, in_shape):
-        flat = int(np.prod(in_shape))
-        if flat != self.in_features:
-            raise ValueError(f"dense expects {self.in_features} features, layer input is {in_shape}")
-        return (self.units,)

@@ -148,17 +148,13 @@ class Network:
     biases, so identical seeds give bit-identical networks.
     """
 
-    def __init__(self, spec: NetworkSpec, seed=0, dtype=np.float32, _layers=None):
+    def __init__(self, spec: NetworkSpec, seed=0, dtype=np.float32):
         self.spec = spec
         self.dtype = dtype
-        if _layers is not None:
-            self.layers = _layers
-            return
-        spec.validate()
         rng = np.random.default_rng(seed)
+        in_shapes = [tuple(spec.input)] + spec.validate()[:-1]
         self.layers = []
-        cur = tuple(spec.input)
-        for ls in spec.layers:
+        for ls, cur in zip(spec.layers, in_shapes):
             if ls.kind == "conv":
                 # nothing reads the gradient of the network's input
                 layer = Conv2d(ls.kernel, cur[2], ls.channels, ls.activation, rng, dtype,
@@ -170,7 +166,6 @@ class Network:
             else:
                 layer = Dense(int(np.prod(cur)), ls.channels, ls.activation, rng, dtype)
             self.layers.append(layer)
-            cur = layer.output_shape(cur)
 
     def parameters(self):
         out = []
@@ -232,31 +227,7 @@ class Network:
 
     def astype(self, dtype):
         """Copy of this network with parameters converted to dtype."""
-        clone = Network(self.spec, dtype=dtype, _layers=_clone_layers(self.layers, dtype))
+        clone = Network(self.spec, dtype=dtype)
+        for dst, src in zip(clone.parameters(), self.parameters()):
+            dst[...] = src
         return clone
-
-    def copy(self):
-        return self.astype(self.dtype)
-
-
-def _clone_layers(layers, dtype):
-    out = []
-    for layer in layers:
-        if isinstance(layer, Conv2d):
-            c = Conv2d.__new__(Conv2d)
-            c.kernel, c.in_channels, c.out_channels = layer.kernel, layer.in_channels, layer.out_channels
-            c.activation, c.input_grad = layer.activation, layer.input_grad
-            c.w = layer.w.astype(dtype)
-            c.b = layer.b.astype(dtype)
-            out.append(c)
-        elif isinstance(layer, Dense):
-            d = Dense.__new__(Dense)
-            d.in_features, d.units, d.activation = layer.in_features, layer.units, layer.activation
-            d.w = layer.w.astype(dtype)
-            d.b = layer.b.astype(dtype)
-            out.append(d)
-        elif isinstance(layer, MaxPool2x2):
-            out.append(MaxPool2x2())
-        else:
-            out.append(GlobalAvgPool())
-    return out

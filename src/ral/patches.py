@@ -53,22 +53,6 @@ class SlideMeta:
     width: int
 
 
-@dataclass
-class PatchRecord:
-    patch_id: str
-    slide_id: str
-    col: int
-    row: int
-    variant: int  # 0 identity, 1-3 rotations, 4-7 vertically flipped rotations
-    group_id: str
-    label: int    # index into the owning set's class_names
-    active: bool = True
-
-    @property
-    def grid_xy(self):
-        return (self.col, self.row)
-
-
 def grid_counts(height, width, window, stride):
     """(cols, rows) of full window placements: floor((dim-window)/stride)+1."""
     if window > height or window > width:
@@ -121,125 +105,119 @@ def group_of(patch_id):
     return patch_id.rsplit("/", 1)[0]
 
 
+@dataclass(eq=False)
 class TrainingSet:
-    """Patch records plus their pixel data, with per-record activity.
+    """Patch records as numpy columns, plus their pixel data.
 
-    Records only ever get deactivated, never relabeled or deleted, so any
-    pruning decision can be audited afterwards. ``pixels`` is an (R, H, W, C)
-    float32 array aligned with ``records``; it is None for manifest-only
-    sets (planning and counting work without touching pixel data).
+    Record i is variant ``variant[i]`` (0 identity, 1-3 rotations, 4-7
+    vertically flipped rotations) of grid cell (``col[i]``, ``row[i]``) of
+    slide ``slide_ids[slide[i]]``, labeled ``class_names[label[i]]``.
+    ``group[i]`` numbers its augmentation group, the 8 variants of one crop.
+    Records only ever get deactivated (``active`` cleared), never relabeled
+    or deleted, so any pruning decision can be audited afterwards.
+    ``pixels`` is an (R, H, W, C) float32 array aligned with the records;
+    it is None for manifest-only sets (planning and counting work without
+    touching pixel data).
     """
 
-    def __init__(self, class_names, records, pixels=None):
-        self.class_names = list(class_names)
-        self.records = records
-        self.pixels = pixels
-        self._index = {r.patch_id: i for i, r in enumerate(records)}
-        if len(self._index) != len(records):
-            raise ValueError("duplicate patch ids in training set")
+    class_names: list
+    slide_ids: list
+    slide: np.ndarray
+    col: np.ndarray
+    row: np.ndarray
+    variant: np.ndarray
+    group: np.ndarray
+    label: np.ndarray
+    active: np.ndarray
+    pixels: np.ndarray | None = None
 
     def __len__(self):
-        return len(self.records)
+        return len(self.label)
 
     @property
     def n_active(self):
-        return sum(1 for r in self.records if r.active)
-
-    def record(self, patch_id):
-        return self.records[self._index[patch_id]]
-
-    def pixels_of(self, patch_id):
-        return self.pixels[self._index[patch_id]]
+        return int(np.count_nonzero(self.active))
 
     def active_indices(self):
-        return np.array([i for i, r in enumerate(self.records) if r.active], dtype=np.intp)
+        return np.flatnonzero(self.active)
 
-    def labels(self):
-        return np.array([r.label for r in self.records], dtype=np.intp)
-
-    def deactivate(self, patch_ids):
-        for pid in patch_ids:
-            self.records[self._index[pid]].active = False
-
-    def group_members(self, group_id):
-        return [r for r in self.records if r.group_id == group_id]
+    def patch_ids(self, idx=slice(None)):
+        """Id strings (slide/col/row/variant) of records ``idx``."""
+        columns = (self.slide[idx], self.col[idx], self.row[idx], self.variant[idx])
+        return [make_patch_id(self.slide_ids[s], c, r, v)
+                for s, c, r, v in zip(*(a.tolist() for a in columns))]
 
 
 def build_manifest(metas, spec: TilingSpec, class_names):
-    """Plan all patch records for the given slides without pixel data.
+    """Plan all patch records for the given slides, as a TrainingSet
+    without pixel data.
 
-    Every grid cell expands to its 8 variants; all records start active and
-    carry the parent slide's label.
+    Every grid cell, row-major within its slide, expands to its 8 variants;
+    all records start active and carry the parent slide's label.
     """
     name_to_idx = {n: i for i, n in enumerate(class_names)}
     seen = set()
-    records = []
-    for meta in metas:
+    cells = []  # per slide: the slide index, col and row of each grid cell
+    for s, meta in enumerate(metas):
         if meta.slide_id in seen:
             raise ValueError(f"duplicate slide_id {meta.slide_id!r}")
         seen.add(meta.slide_id)
-        label = name_to_idx[meta.class_label]
         cols, rows = grid_counts(meta.height, meta.width, spec.window, spec.stride)
-        for row in range(rows):
-            for col in range(cols):
-                gid = make_group_id(meta.slide_id, col, row)
-                for v in range(VARIANTS):
-                    records.append(PatchRecord(
-                        patch_id=make_patch_id(meta.slide_id, col, row, v),
-                        slide_id=meta.slide_id, col=col, row=row, variant=v,
-                        group_id=gid, label=label))
-    return records
+        row, col = np.divmod(np.arange(cols * rows), cols)
+        cells.append((np.full(cols * rows, s), col, row))
+    slide, col, row = (np.repeat(np.concatenate(parts), VARIANTS) for parts in zip(*cells))
+    n_groups = len(slide) // VARIANTS
+    labels = np.array([name_to_idx[m.class_label] for m in metas], dtype=np.intp)
+    return TrainingSet(list(class_names), [m.slide_id for m in metas], slide, col, row,
+                       variant=np.tile(np.arange(VARIANTS), n_groups),
+                       group=np.repeat(np.arange(n_groups), VARIANTS),
+                       label=labels[slide], active=np.ones(len(slide), dtype=bool))
 
 
 def build_training_set(slides, spec: TilingSpec, class_names=None):
-    """Tile and augment slides into a materialized TrainingSet."""
+    """Tile and augment slides into a materialized TrainingSet.
+
+    Each variant is written straight into one preallocated pixel array, so
+    the pixels are held once.
+    """
     if class_names is None:
         class_names = sorted({s.class_label for s in slides})
     metas = [SlideMeta(s.slide_id, s.class_label, s.height, s.width) for s in slides]
-    records = build_manifest(metas, spec, class_names)
-    chunks = []
+    ts = build_manifest(metas, spec, class_names)
+    ts.pixels = np.empty((len(ts), spec.window, spec.window, slides[0].pixels.shape[2]),
+                         dtype=np.float32)
+    i = 0
     for slide in slides:
         for _, crop in tile(slide, spec):
-            chunks.extend(augment8(crop))
-    pixels = np.stack(chunks).astype(np.float32, copy=False)
-    if len(pixels) != len(records):
+            ts.pixels[i:i + VARIANTS] = augment8(crop)
+            i += VARIANTS
+    if i != len(ts):
         raise AssertionError("pixel/record count mismatch")
-    return TrainingSet(class_names, records, pixels)
+    return ts
 
 
-def build_eval_patches(slides, spec: TilingSpec, class_names):
-    """Raw (unaugmented) patches of the given slides, for evaluation.
-
-    Returns (X, y, ids): patch pixels, label indices, patch ids (variant 0).
-    """
-    name_to_idx = {n: i for i, n in enumerate(class_names)}
-    xs, ys, ids = [], [], []
-    for slide in slides:
-        label = name_to_idx[slide.class_label]
-        for (col, row), crop in tile(slide, spec):
-            xs.append(crop.astype(np.float32))
-            ys.append(label)
-            ids.append(make_patch_id(slide.slide_id, col, row, 0))
-    return np.stack(xs), np.array(ys, dtype=np.intp), ids
+def manifest_to_dicts(ts: TrainingSet):
+    """JSON-ready view of the patch records (labels as class names)."""
+    columns = (ts.slide, ts.col, ts.row, ts.variant, ts.label, ts.active)
+    out = []
+    for s, c, r, v, label, active in zip(*(a.tolist() for a in columns)):
+        sid = ts.slide_ids[s]
+        out.append({"patch_id": make_patch_id(sid, c, r, v), "slide_id": sid,
+                    "grid_xy": [c, r], "variant": v,
+                    "group_id": make_group_id(sid, c, r),
+                    "label": ts.class_names[label], "active": active})
+    return out
 
 
-def manifest_to_dicts(records, class_names):
-    """JSON-ready view of patch records (labels as class names)."""
-    return [{"patch_id": r.patch_id, "slide_id": r.slide_id,
-             "grid_xy": [r.col, r.row], "variant": r.variant,
-             "group_id": r.group_id, "label": class_names[r.label],
-             "active": r.active} for r in records]
-
-
-def save_patch(ts: TrainingSet, patch_id, path):
-    """Write one record's pixels to disk.
+def save_patch(ts: TrainingSet, index, path):
+    """Write the pixels of record ``index`` to disk.
 
     ``.ralt`` keeps exact float32 values (bit-identical round trip);
     ``.ppm``/``.pgm`` quantize to 8 bits for viewing.
     """
     from .imageio import save_image, save_ralt
 
-    pixels = ts.pixels_of(patch_id)
+    pixels = ts.pixels[index]
     path = str(path)
     if path.endswith(".ralt"):
         return save_ralt(path, pixels)

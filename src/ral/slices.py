@@ -75,13 +75,7 @@ def majority_vote(patch_labels, grid_probs):
     return int(best), True, counts
 
 
-def mean_probability_label(grid_probs):
-    """Alternative aggregation: argmax of the cell-averaged probabilities."""
-    n_classes = np.asarray(grid_probs).shape[-1]
-    return int(np.argmax(np.asarray(grid_probs).reshape(-1, n_classes).mean(axis=0)))
-
-
-def predict_slide(net, slide: SlideImage, window, method="majority"):
+def predict_slide(net, slide: SlideImage, window):
     """Grid up a slide without overlap, score each patch, vote.
 
     Slide dimensions must be divisible by the window.
@@ -97,14 +91,7 @@ def predict_slide(net, slide: SlideImage, window, method="majority"):
     probs = net.predict_proba(batch)
     grid = probs.reshape(rows, cols, -1)
     patch_labels = grid.argmax(axis=2)
-    if method == "majority":
-        voted, tie_broken, counts = majority_vote(patch_labels, grid)
-    elif method == "mean_prob":
-        voted = mean_probability_label(grid)
-        tie_broken = False
-        counts = np.bincount(patch_labels.ravel(), minlength=grid.shape[2])
-    else:
-        raise ValueError(f"unknown vote method {method!r}")
+    voted, tie_broken, counts = majority_vote(patch_labels, grid)
     return SlidePrediction(slide.slide_id, grid, patch_labels, voted,
                            {int(c): int(n) for c, n in enumerate(counts) if n},
                            tie_broken)
@@ -139,3 +126,21 @@ def slice_accuracy(predictions, truth_labels, n_classes):
         y_pred.append(p.voted_label)
     return (macro_accuracy(y_true, y_pred, n_classes),
             plain_accuracy(y_true, y_pred))
+
+
+def evaluate_slides(net, slides, window, class_names):
+    """Patch and slide accuracy of labeled slides, from one grid pass each.
+
+    Patch accuracy is the macro accuracy of every grid cell's label against
+    its slide's label. Returns {"patch_acc", "slice_acc" (macro),
+    "slice_acc_plain"}, all in %.
+    """
+    n = len(class_names)
+    preds = [predict_slide(net, s, window) for s in slides]
+    truth = {s.slide_id: class_names.index(s.class_label) for s in slides}
+    cell_truth = np.concatenate([np.full(p.patch_labels.size, truth[p.slide_id])
+                                 for p in preds])
+    cell_pred = np.concatenate([p.patch_labels.ravel() for p in preds])
+    macro_slice, plain_slice = slice_accuracy(preds, truth, n)
+    return {"patch_acc": macro_accuracy(cell_truth, cell_pred, n),
+            "slice_acc": macro_slice, "slice_acc_plain": plain_slice}

@@ -19,8 +19,8 @@ from ral.config import ExperimentConfig
 from ral.experiment import run_experiment
 from ral.loop import prune_by_confidence, prune_by_group
 from ral.nn import LayerSpec, Network, NetworkSpec, build_classifier, gradient_check
-from ral.patches import (SlideMeta, TilingSpec, TrainingSet, augment8,
-                         build_manifest, grid_counts, variant_transform)
+from ral.patches import (SlideMeta, TilingSpec, augment8, build_manifest,
+                         grid_counts, variant_transform)
 from ral.slices import majority_vote
 from ral.synth import generate, write_dataset
 
@@ -150,9 +150,8 @@ def test_criterion_2_counting_fidelity():
 
 
 def one_group_set():
-    records = build_manifest([SlideMeta("s", "Benign", 512, 512)],
-                             TilingSpec(512, 512), CLASSES)
-    return TrainingSet(CLASSES, records)
+    return build_manifest([SlideMeta("s", "Benign", 512, 512)],
+                          TilingSpec(512, 512), CLASSES)
 
 
 def test_criterion_3_pruning_rule_exactness():
@@ -160,19 +159,19 @@ def test_criterion_3_pruning_rule_exactness():
     group_rule_ok = True
     for pattern in range(256):
         ts = one_group_set()
-        hit = [ts.records[i].patch_id for i in range(8) if pattern >> i & 1]
-        ts.deactivate(hit)
+        hit = [i for i in range(8) if pattern >> i & 1]
+        ts.active[hit] = False
         extra = prune_by_group(ts, hit, group_threshold=4)
-        survivors = sorted(r.patch_id for r in ts.records if r.patch_id not in hit)
-        expected = survivors if bin(pattern).count("1") > 4 else []
-        if sorted(extra) != expected:
+        survivors = [i for i in range(8) if i not in hit]
+        expected = survivors if len(hit) > 4 else []
+        if extra.tolist() != expected or ts.n_active != 8 - len(hit) - len(extra):
             group_rule_ok = False
             break
     ts = one_group_set()
-    scores = {r.patch_id: 0.50 for r in ts.records}
-    scores[ts.records[0].patch_id] = 0.49
+    scores = np.full(len(ts), 0.50)
+    scores[0] = 0.49
     removed = prune_by_confidence(ts, scores, tau=0.5)
-    boundary_ok = removed == [ts.records[0].patch_id] and ts.n_active == 7
+    boundary_ok = removed.tolist() == [0] and ts.n_active == 7
     elapsed = time.perf_counter() - t0
     ok = group_rule_ok and boundary_ok and elapsed < 1.0
     record_criterion(3, ok, f"2^8 group patterns exact, 0.49 removed / 0.50 kept, "

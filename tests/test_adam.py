@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ral.nn import Adam, adam_step
+from ral.nn import Adam
 
 
 def test_first_step_hand_computed():
@@ -9,7 +9,7 @@ def test_first_step_hand_computed():
     # theta' = -lr / (1 + eps)
     p = np.zeros(1, dtype=np.float64)
     opt = Adam(lr=1e-4)
-    adam_step([p], [np.ones(1)], opt)
+    opt.step([p], [np.ones(1)])
     assert opt.t == 1
     assert opt.m[0][0] == pytest.approx(0.1, abs=1e-15)
     assert opt.v[0][0] == pytest.approx(0.001, abs=1e-15)

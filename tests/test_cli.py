@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -6,9 +7,11 @@ import numpy as np
 import pytest
 
 from ral.cli import main, output_lock
-from ral.config import ExperimentConfig
+from ral.config import ExperimentConfig, RalSection, SyntheticSection
 from ral.experiment import run_experiment
+from ral.loop import RalConfig
 from ral.nn import Network, build_classifier, save_checkpoint
+from ral.synth import SynthSpec
 
 
 def tiny_config(tmp_path, **ral_overrides):
@@ -56,6 +59,15 @@ class TestConfig:
     def test_window_must_fit_network_pools(self):
         with pytest.raises(ValueError, match="divisible by 8"):
             ExperimentConfig.from_dict({"tiling": {"window": 20}})
+
+    def test_sections_mirror_the_configs_they_build(self):
+        # the seed comes from the top level; texture_params has no config key
+        def names(cls):
+            return [f.name for f in dataclasses.fields(cls)]
+
+        assert names(RalSection) == [n for n in names(RalConfig) if n != "seed"]
+        assert names(SyntheticSection) == [
+            n for n in names(SynthSpec) if n not in ("seed", "texture_params")]
 
 
 class TestCommands:

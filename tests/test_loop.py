@@ -4,6 +4,8 @@ import pytest
 from ral.loop import (IterationReport, RalConfig, finetune, initial_train,
                       prune_by_confidence, prune_by_group, run_ral,
                       score_training_set)
+from ral.experiment import write_audit
+from ral.metrics import macro_accuracy
 from ral.nn import LayerSpec, Network, NetworkSpec
 from ral.patches import SlideImage, TilingSpec, build_training_set
 
@@ -75,7 +77,7 @@ class TestInitialTrain:
 
     def test_empty_set_rejected(self):
         ts = toy_set()
-        ts.deactivate([r.patch_id for r in ts.records])
+        ts.active[:] = False
         with pytest.raises(ValueError, match="empty"):
             initial_train(dense_net(), ts, RalConfig())
 
@@ -84,129 +86,153 @@ class TestScore:
     def test_uniform_net_scores_chance(self):
         ts = toy_set()
         net = zeroed(dense_net())
-        scores = score_training_set(net, ts)
-        assert len(scores) == len(ts)
-        assert all(v == pytest.approx(0.5) for v in scores.values())  # 2 classes
+        conf, _ = score_training_set(net, ts)
+        # float64, so tau is compared at full precision, as a Python float is
+        assert conf.shape == (len(ts),) and conf.dtype == np.float64
+        np.testing.assert_allclose(conf, 0.5, rtol=1e-6)  # 2 classes
 
     def test_uniform_net_four_classes(self):
         ts = toy_set(classes=("a", "b", "c", "d"))
         net = zeroed(dense_net(classes=4))
-        scores = score_training_set(net, ts)
-        assert all(v == pytest.approx(0.25) for v in scores.values())
+        conf, _ = score_training_set(net, ts)
+        np.testing.assert_allclose(conf, 0.25, rtol=1e-6)
 
     def test_saturated_prediction_scores_near_one(self):
         ts = toy_set()
         net = zeroed(dense_net())
         net.layers[0].b[0] = 50.0  # model shouts class 0
-        scores = score_training_set(net, ts)
-        for r in ts.records:
-            expected = 1.0 if r.label == 0 else 0.0
-            assert scores[r.patch_id] == pytest.approx(expected, abs=1e-6)
+        conf, pred = score_training_set(net, ts)
+        np.testing.assert_allclose(conf, np.where(ts.label == 0, 1.0, 0.0), atol=1e-6)
+        assert (pred == 0).all()
 
     def test_matches_single_patch_oracle(self):
         ts = toy_set(n_per_class=3)
         net = dense_net(seed=7)
-        scores = score_training_set(net, ts)
-        for r in ts.records:
-            probs = net.forward(ts.pixels_of(r.patch_id)[None])
-            assert scores[r.patch_id] == pytest.approx(float(probs[0, r.label]), abs=1e-6)
+        conf, pred = score_training_set(net, ts)
+        for i in range(len(ts)):
+            probs = net.forward(ts.pixels[i][None])
+            assert conf[i] == pytest.approx(float(probs[0, ts.label[i]]), abs=1e-6)
+            assert pred[i] == probs[0].argmax()
 
     def test_inactive_records_skipped(self):
         ts = toy_set()
-        ts.deactivate([ts.records[0].patch_id])
-        scores = score_training_set(zeroed(dense_net()), ts)
-        assert ts.records[0].patch_id not in scores
+        ts.active[0] = False
+        conf, pred = score_training_set(zeroed(dense_net()), ts)
+        assert np.isnan(conf[0]) and pred[0] == -1
+        assert np.isfinite(conf[1:]).all() and (pred[1:] >= 0).all()
 
     def test_max_mode(self):
         ts = toy_set()
         net = zeroed(dense_net())
         net.layers[0].b[1] = 50.0
-        scores = score_training_set(net, ts, mode="max")
-        assert all(v == pytest.approx(1.0, abs=1e-6) for v in scores.values())
+        conf, _ = score_training_set(net, ts, mode="max")
+        np.testing.assert_allclose(conf, 1.0, atol=1e-6)
 
 
 class TestPruneByConfidence:
     def test_strict_threshold_boundary(self):
         ts = toy_set()
-        scores = {r.patch_id: 0.5 for r in ts.records}
-        low = ts.records[3].patch_id
-        scores[low] = 0.49
-        removed = prune_by_confidence(ts, scores, tau=0.5)
-        assert removed == [low]
+        conf = np.full(len(ts), 0.5)
+        conf[3] = 0.49
+        removed = prune_by_confidence(ts, conf, tau=0.5)
+        assert removed.tolist() == [3]
         assert ts.n_active == len(ts) - 1
+        assert not ts.active[3]
 
     def test_full_confidence_removes_nothing(self):
         ts = toy_set()
-        removed = prune_by_confidence(ts, {r.patch_id: 1.0 for r in ts.records}, 0.5)
-        assert removed == []
+        removed = prune_by_confidence(ts, np.ones(len(ts)), 0.5)
+        assert removed.size == 0
         assert ts.n_active == len(ts)
 
     def test_chance_scores_remove_everything_at_default_tau(self):
         ts = toy_set(classes=("a", "b", "c", "d"))
         net = zeroed(dense_net(classes=4))
-        scores = score_training_set(net, ts)
-        removed = prune_by_confidence(ts, scores, 0.5)
+        conf, _ = score_training_set(net, ts)
+        removed = prune_by_confidence(ts, conf, 0.5)
         assert len(removed) == len(ts)
         assert ts.n_active == 0
 
     def test_missing_score_rejected(self):
         ts = toy_set()
-        scores = {r.patch_id: 1.0 for r in ts.records[1:]}
+        conf = np.ones(len(ts))
+        conf[0] = np.nan
         with pytest.raises(ValueError, match="no confidence score"):
-            prune_by_confidence(ts, scores, 0.5)
+            prune_by_confidence(ts, conf, 0.5)
+
+    def test_inactive_records_neither_scored_nor_removed_again(self):
+        ts = toy_set()
+        ts.active[2] = False
+        conf = np.ones(len(ts))
+        conf[2] = np.nan
+        conf[5] = 0.0
+        assert prune_by_confidence(ts, conf, 0.5).tolist() == [5]
 
     def test_matches_brute_force_filter(self):
         rng = np.random.default_rng(9)
         ts = toy_set(n_per_class=3)
-        scores = {r.patch_id: float(rng.random()) for r in ts.records}
-        expected = sorted(pid for pid, s in scores.items() if s < 0.37)
-        assert prune_by_confidence(ts, scores, 0.37) == expected
+        conf = rng.random(len(ts))
+        expected = [i for i in range(len(ts)) if conf[i] < 0.37]
+        assert prune_by_confidence(ts, conf, 0.37).tolist() == expected
+
+
+def first_group(ts):
+    return np.flatnonzero(ts.group == ts.group[0])
 
 
 class TestPruneByGroup:
     def test_five_removed_takes_remaining_three(self):
         ts = toy_set(n_per_class=1)
-        group = [r for r in ts.records if r.group_id == ts.records[0].group_id]
-        hit = [r.patch_id for r in group[:5]]
-        ts.deactivate(hit)
+        group = first_group(ts)
+        hit = group[:5]
+        ts.active[hit] = False
         extra = prune_by_group(ts, hit)
-        assert sorted(extra) == sorted(r.patch_id for r in group[5:])
+        assert extra.tolist() == group[5:].tolist()
 
     def test_exactly_four_removed_keeps_rest(self):
         ts = toy_set(n_per_class=1)
-        group = [r for r in ts.records if r.group_id == ts.records[0].group_id]
-        hit = [r.patch_id for r in group[:4]]
-        ts.deactivate(hit)
-        assert prune_by_group(ts, hit) == []
-        assert all(r.active for r in group[4:])
+        group = first_group(ts)
+        hit = group[:4]
+        ts.active[hit] = False
+        assert prune_by_group(ts, hit).size == 0
+        assert ts.active[group[4:]].all()
 
     def test_untouched_group_unchanged(self):
         ts = toy_set(n_per_class=1)
-        assert prune_by_group(ts, []) == []
+        assert prune_by_group(ts, []).size == 0
         assert ts.n_active == len(ts)
 
     def test_exhaustive_all_removal_patterns(self):
         for pattern in range(256):
             ts = toy_set(n_per_class=1)
-            group = [r for r in ts.records if r.group_id == ts.records[0].group_id]
-            hit = [group[i].patch_id for i in range(8) if pattern >> i & 1]
-            ts.deactivate(hit)
+            group = first_group(ts)
+            hit = group[[i for i in range(8) if pattern >> i & 1]]
+            ts.active[hit] = False
             extra = prune_by_group(ts, hit)
-            survivors = [r.patch_id for r in group if r.patch_id not in hit]
+            survivors = [i for i in group if i not in hit]
             if bin(pattern).count("1") > 4:
-                assert sorted(extra) == sorted(survivors)
+                assert extra.tolist() == survivors
             else:
-                assert extra == []
+                assert extra.size == 0
+
+    def test_groups_counted_separately(self):
+        # 5 removals in one group, 4 in another: only the first group goes
+        ts = toy_set(n_per_class=1)
+        a = np.flatnonzero(ts.group == 0)
+        b = np.flatnonzero(ts.group == 1)
+        hit = np.concatenate([b[:4], a[:5]])
+        ts.active[hit] = False
+        assert prune_by_group(ts, hit).tolist() == a[5:].tolist()
+        assert ts.active[b[4:]].all()
 
     def test_only_this_rounds_removals_count(self):
         # 3 removals in a previous round plus 2 now: group survives (2 <= 4)
         ts = toy_set(n_per_class=1)
-        group = [r for r in ts.records if r.group_id == ts.records[0].group_id]
-        earlier = [r.patch_id for r in group[:3]]
-        ts.deactivate(earlier)
-        now = [r.patch_id for r in group[3:5]]
-        ts.deactivate(now)
-        assert prune_by_group(ts, now) == []
+        group = first_group(ts)
+        ts.active[group[:3]] = False
+        now = group[3:5]
+        ts.active[now] = False
+        assert prune_by_group(ts, now).size == 0
 
 
 class TestFinetune:
@@ -315,5 +341,43 @@ class TestRunRal:
         result = run_ral(dense_net(seed=2), ts, config)
         audited = [pid for _, pid, _ in result.audit]
         assert len(audited) == len(set(audited))
-        inactive = {r.patch_id for r in ts.records if not r.active}
+        inactive = set(ts.patch_ids(np.flatnonzero(~ts.active)))
         assert set(audited) == inactive
+
+    def test_audit_rows_in_patch_id_order(self, tmp_path):
+        # 11 cells in one row: record order runs s/0, s/1, ..., s/10, but
+        # "s/10/..." sorts before "s/2/...". Only each cell's top-left pixel
+        # is bright and the net trusts label 0 only when the patch's
+        # top-left pixel is bright: 2 of 8 variants keep it there, so each
+        # group loses 6 records by confidence and 2 by the group rule.
+        size = 4
+        px = np.zeros((size, 11 * size, 3), dtype=np.float32)
+        px[0, ::size] = 1.0
+        ts = build_training_set([SlideImage("s", "a", px)], TilingSpec(size, size),
+                                ["a", "b"])
+        net = zeroed(dense_net(size=size))
+        net.layers[0].w[0, 0] = 50.0
+        config = RalConfig(tau=0.6, iterations=1, max_epochs=0, finetune_epochs=0)
+        result = run_ral(net, ts, config)
+        write_audit(tmp_path, result)
+        rows = [line.split(",") for line in
+                (tmp_path / "audit.csv").read_text().splitlines()[1:]]
+        assert [(k, reason) for k, _, reason in rows] == (
+            [("1", "confidence")] * 66 + [("1", "group")] * 22)
+        for reason in ("confidence", "group"):
+            ids = [pid for _, pid, r in rows if r == reason]
+            assert ids == sorted(ids)
+            record_order = [pid for pid in ts.patch_ids() if pid in set(ids)]
+            assert ids != record_order
+        assert sorted(pid for _, pid, _ in rows) == sorted(ts.patch_ids())
+
+    def test_train_patch_acc_comes_from_a_pass_over_the_active_records(self):
+        ts = toy_set(n_per_class=4, seed=2)
+        config = RalConfig(iterations=2, max_epochs=3, finetune_epochs=1,
+                           learning_rate=0.02, batch_size=8, seed=11)
+        net = dense_net(seed=1)
+        result = run_ral(net, ts, config)
+        _, pred = score_training_set(net, ts)
+        idx = ts.active_indices()
+        expected = macro_accuracy(ts.label[idx], pred[idx], len(ts.class_names))
+        assert result.reports[-1].train_patch_acc == expected

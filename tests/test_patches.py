@@ -110,20 +110,22 @@ class TestManifest:
     def test_full_scale_record_count(self):
         metas = [SlideMeta(f"{c}_{i:03d}", c, 1536, 2048)
                  for c in CLASSES for i in range(80)]
-        records = build_manifest(metas, TilingSpec(512, 256), CLASSES)
-        assert len(records) == 89_600
+        ts = build_manifest(metas, TilingSpec(512, 256), CLASSES)
+        assert len(ts) == 89_600
+        assert ts.pixels is None
 
     def test_single_exact_slide(self):
-        records = build_manifest([SlideMeta("s", "Normal", 512, 512)],
-                                 TilingSpec(512, 512), ["Normal"])
-        assert len(records) == 8
-        assert {r.group_id for r in records} == {"s/0/0"}
-        assert sorted(r.variant for r in records) == list(range(8))
+        ts = build_manifest([SlideMeta("s", "Normal", 512, 512)],
+                            TilingSpec(512, 512), ["Normal"])
+        assert len(ts) == 8
+        assert set(ts.group.tolist()) == {0}
+        assert sorted(ts.variant.tolist()) == list(range(8))
+        assert ts.patch_ids() == [f"s/0/0/{v}" for v in range(8)]
 
     def test_two_midsize_slides(self):
         metas = [SlideMeta("a", "Normal", 1024, 1024), SlideMeta("b", "Normal", 1024, 1024)]
-        records = build_manifest(metas, TilingSpec(512, 256), ["Normal"])
-        assert len(records) == 2 * 9 * 8
+        ts = build_manifest(metas, TilingSpec(512, 256), ["Normal"])
+        assert len(ts) == 2 * 9 * 8
 
     def test_duplicate_slide_id_rejected(self):
         metas = [SlideMeta("x", "Normal", 512, 512), SlideMeta("x", "Benign", 512, 512)]
@@ -132,17 +134,31 @@ class TestManifest:
 
     def test_groups_complete_and_labels_inherited(self):
         metas = [SlideMeta("n1", "Normal", 96, 96), SlideMeta("b1", "Benign", 96, 96)]
-        records = build_manifest(metas, TilingSpec(32, 32), ["Benign", "Normal"])
-        by_group = {}
-        for r in records:
-            by_group.setdefault(r.group_id, []).append(r)
-        for gid, members in by_group.items():
-            assert sorted(m.variant for m in members) == list(range(8))
-            assert len({m.label for m in members}) == 1
-        for r in records:
-            expected = 1 if r.slide_id == "n1" else 0
-            assert r.label == expected
-            assert r.active
+        ts = build_manifest(metas, TilingSpec(32, 32), ["Benign", "Normal"])
+        for g in np.unique(ts.group):
+            members = np.flatnonzero(ts.group == g)
+            assert sorted(ts.variant[members].tolist()) == list(range(8))
+            assert len(set(ts.label[members].tolist())) == 1
+            assert len({(s, c, r) for s, c, r in zip(ts.slide[members], ts.col[members],
+                                                      ts.row[members])}) == 1
+        expected = [1 if ts.slide_ids[s] == "n1" else 0 for s in ts.slide]
+        assert ts.label.tolist() == expected
+        assert ts.active.all()
+
+    def test_columns_match_nested_loop_enumeration(self):
+        # oracle: slides in order, then grid rows, columns and variants
+        metas = [SlideMeta("a", "Benign", 12, 20), SlideMeta("b", "Normal", 8, 8)]
+        ts = build_manifest(metas, TilingSpec(4, 4), ["Benign", "Normal"])
+        expected = []
+        for s, meta in enumerate(metas):
+            cols, rows = grid_counts(meta.height, meta.width, 4, 4)
+            for row in range(rows):
+                for col in range(cols):
+                    expected.extend((s, col, row, v) for v in range(8))
+        got = list(zip(ts.slide.tolist(), ts.col.tolist(), ts.row.tolist(),
+                       ts.variant.tolist()))
+        assert got == expected
+        assert ts.group.tolist() == [i // 8 for i in range(len(ts))]
 
 
 class TestTrainingSetBuild:
@@ -152,11 +168,15 @@ class TestTrainingSetBuild:
         ts = build_training_set(slides, TilingSpec(4, 4), ["Benign", "Normal"])
         assert len(ts) == 2 * 4 * 8
         assert ts.pixels.shape == (64, 4, 4, 3)
+        assert ts.pixels.dtype == np.float32
         # variant 0 of group a/1/0 is the raw crop at x0=4, y0=0
-        rec = ts.record("a/1/0/0")
-        assert rec.variant == 0
-        np.testing.assert_array_equal(ts.pixels_of("a/1/0/0"),
-                                      slides[0].pixels[0:4, 4:8])
+        i = ts.patch_ids().index("a/1/0/0")
+        assert ts.variant[i] == 0
+        np.testing.assert_array_equal(ts.pixels[i], slides[0].pixels[0:4, 4:8])
+        for i in range(len(ts)):
+            s, c, r, v = ts.slide[i], ts.col[i], ts.row[i], ts.variant[i]
+            crop = slides[s].pixels[4 * r:4 * r + 4, 4 * c:4 * c + 4]
+            np.testing.assert_array_equal(ts.pixels[i], variant_transform(crop, v))
 
     def test_group_of_helper(self):
         assert group_of("slide/3/2/7") == "slide/3/2"
@@ -165,9 +185,10 @@ class TestTrainingSetBuild:
         slides = [make_slide("a", "Normal", 4, 4, seed=3)]
         ts = build_training_set(slides, TilingSpec(4, 4))
         assert ts.n_active == 8
-        ts.deactivate(["a/0/0/1", "a/0/0/5"])
+        ts.active[[1, 5]] = False
         assert ts.n_active == 6
-        assert not ts.record("a/0/0/1").active
+        assert ts.active_indices().tolist() == [0, 2, 3, 4, 6, 7]
+        assert ts.patch_ids(~ts.active) == ["a/0/0/1", "a/0/0/5"]
 
     def test_save_patch_round_trip(self, tmp_path):
         from ral.imageio import load_image
@@ -175,15 +196,17 @@ class TestTrainingSetBuild:
 
         slides = [make_slide("a", "Normal", 4, 4, seed=5)]
         ts = build_training_set(slides, TilingSpec(4, 4))
-        path = save_patch(ts, "a/0/0/3", tmp_path / "p.ralt")
-        np.testing.assert_array_equal(load_image(path), ts.pixels_of("a/0/0/3"))
+        path = save_patch(ts, 3, tmp_path / "p.ralt")
+        np.testing.assert_array_equal(load_image(path), ts.pixels[3])
 
     def test_manifest_dicts_carry_all_fields(self):
         from ral.patches import manifest_to_dicts
 
-        records = build_manifest([SlideMeta("s", "Benign", 64, 64)],
-                                 TilingSpec(32, 32), ["Benign", "Normal"])
-        d = manifest_to_dicts(records, ["Benign", "Normal"])[9]
-        assert d == {"patch_id": "s/1/0/1", "slide_id": "s", "grid_xy": [1, 0],
-                     "variant": 1, "group_id": "s/1/0", "label": "Benign",
-                     "active": True}
+        ts = build_manifest([SlideMeta("s", "Benign", 64, 64)],
+                            TilingSpec(32, 32), ["Benign", "Normal"])
+        ts.active[10] = False
+        dicts = manifest_to_dicts(ts)
+        assert dicts[9] == {"patch_id": "s/1/0/1", "slide_id": "s", "grid_xy": [1, 0],
+                            "variant": 1, "group_id": "s/1/0", "label": "Benign",
+                            "active": True}
+        assert dicts[10]["active"] is False

@@ -4,7 +4,7 @@ import pytest
 from ral.metrics import macro_accuracy, plain_accuracy
 from ral.nn import LayerSpec, Network, NetworkSpec
 from ral.patches import SlideImage
-from ral.slices import (class_color, majority_vote, mean_probability_label,
+from ral.slices import (class_color, evaluate_slides, majority_vote,
                         predict_slide, render_class_map, slice_accuracy,
                         SlidePrediction)
 
@@ -53,11 +53,36 @@ class TestPredictSlide:
         with pytest.raises(ValueError, match="not divisible"):
             predict_slide(net, make_slide("s", 20, 16), window=8)
 
-    def test_mean_prob_method(self):
+
+
+class TestEvaluateSlides:
+    def test_matches_per_cell_tally(self):
         net = small_net(seed=4)
-        slide = make_slide("s", 16, 16, seed=5)
-        pred = predict_slide(net, slide, window=8, method="mean_prob")
-        assert pred.voted_label == mean_probability_label(pred.grid_probs)
+        slides = [make_slide(f"s{i}", 16, 24, seed=10 + i, label=CLASSES[i % 4])
+                  for i in range(6)]
+        got = evaluate_slides(net, slides, 8, CLASSES)
+        # oracle: score every cell alone, then tally cells and votes by hand
+        cell_true, cell_pred, slide_true, slide_pred = [], [], [], []
+        for s in slides:
+            label = CLASSES.index(s.class_label)
+            cells = [net.forward(s.pixels[r:r + 8, c:c + 8][None])[0].argmax()
+                     for r in range(0, 16, 8) for c in range(0, 24, 8)]
+            cell_true += [label] * len(cells)
+            cell_pred += cells
+            slide_true.append(label)
+            slide_pred.append(predict_slide(net, s, 8).voted_label)
+        assert got == {"patch_acc": macro_accuracy(cell_true, cell_pred, 4),
+                       "slice_acc": macro_accuracy(slide_true, slide_pred, 4),
+                       "slice_acc_plain": plain_accuracy(slide_true, slide_pred)}
+
+    def test_uniform_net_scores_chance(self):
+        net = small_net()
+        for p in net.parameters():
+            p[:] = 0
+        slides = [make_slide(f"s{i}", 8, 16, seed=i, label=c) for i, c in enumerate(CLASSES)]
+        got = evaluate_slides(net, slides, 8, CLASSES)
+        # every cell and vote says class 0, right for one class in four
+        assert got == {"patch_acc": 25.0, "slice_acc": 25.0, "slice_acc_plain": 25.0}
 
 
 class TestMajorityVote:
