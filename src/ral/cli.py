@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import ExperimentConfig
@@ -29,8 +30,8 @@ from .experiment import build_network_for, run_experiment
 from .imageio import load_image, save_image
 from .loop import initial_train
 from .nn import load_checkpoint, save_checkpoint
-from .patches import (VARIANTS, SlideImage, SlideMeta, TilingSpec, build_manifest,
-                      build_training_set, manifest_to_dicts)
+from .patches import (VARIANTS, SlideImage, TilingSpec, build_manifest, build_training_set,
+                      manifest_to_dicts)
 from .slices import evaluate_slides, predict_slide, render_class_map
 from .synth import generate, write_dataset
 
@@ -42,8 +43,12 @@ def output_lock(out_dir: Path):
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise RuntimeError(f"output dir {out_dir} is locked by another run "
+        holder = ""
+        with contextlib.suppress(OSError, ValueError):
+            holder = f" (pid {int(lock.read_text())})"
+        raise RuntimeError(f"output dir {out_dir} is locked by another run{holder} "
                            f"(remove {lock} if stale)") from None
+    os.write(fd, f"{os.getpid()}\n".encode())
     os.close(fd)
     try:
         yield out_dir
@@ -58,6 +63,13 @@ def _resolve(args):
     if args.out is not None:
         config.output_dir = args.out
     return config, Path(config.output_dir)
+
+
+def _error_dir(args):
+    """The resolved output directory, or --out when the config does not load."""
+    with contextlib.suppress(Exception):
+        return _resolve(args)[1]
+    return Path(args.out)
 
 
 def _dataset_path(config):
@@ -84,9 +96,7 @@ def cmd_tile(args):
     train_slides, val_slides, class_names, _ = load_dataset(
         _dataset_path(config), config.val_fraction, config.seed)
     tiling = TilingSpec(config.tiling.window, config.tiling.stride)
-    manifest = build_manifest(
-        [SlideMeta(s.slide_id, s.class_label, s.height, s.width) for s in train_slides],
-        tiling, class_names)
+    manifest = build_manifest(train_slides, tiling, class_names)
     with output_lock(out):
         (out / "manifest.json").write_text(
             json.dumps(manifest_to_dicts(manifest), indent=1) + "\n")
@@ -106,9 +116,8 @@ def cmd_train(args):
     with output_lock(out):
         log = initial_train(net, ts, config.ral.build(config.seed))
         save_checkpoint(out / "checkpoint.ralw", net)
-        (out / "train_log.json").write_text(json.dumps(
-            [{"epoch": s.epoch, "loss": s.loss, "accuracy": s.accuracy}
-             for s in log], indent=1) + "\n")
+        (out / "train_log.json").write_text(
+            json.dumps([asdict(s) for s in log], indent=1) + "\n")
     last = log[-1] if log else None
     print(f"trained {len(log)} epochs on {ts.n_active} records"
           + (f" (final loss {last.loss:.4f}, acc {last.accuracy:.3f})" if last else "")
@@ -207,11 +216,10 @@ def main(argv=None):
         print(f"ral: error: {e}", file=sys.stderr)
         detail = None
         with contextlib.suppress(Exception):
-            out = Path(args.out) if args.out else None
-            if out is not None:
-                out.mkdir(parents=True, exist_ok=True)
-                detail = out / "error.log"
-                detail.write_text(traceback.format_exc())
+            out = _error_dir(args)
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "error.log").write_text(traceback.format_exc())
+            detail = out / "error.log"
         if detail:
             print(f"ral: detail in {detail}", file=sys.stderr)
         return 1

@@ -9,7 +9,7 @@ run. The resolved configuration is embedded verbatim in every report.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .loop import RalConfig
@@ -17,9 +17,14 @@ from .synth import SynthSpec
 
 
 def _take(d, section, cls):
-    unknown = set(d) - {f.name for f in fields(cls)}
+    """``cls(**d)``, rejecting keys that are not fields of ``cls``; a JSON
+    list becomes a tuple where the field's default is a tuple."""
+    by_name = {f.name: f for f in fields(cls)}
+    unknown = set(d) - set(by_name)
     if unknown:
         raise ValueError(f"unknown {section} config keys: {sorted(unknown)}")
+    return cls(**{k: tuple(v) if isinstance(by_name[k].default, tuple) else v
+                  for k, v in d.items()})
 
 
 @dataclass
@@ -27,30 +32,11 @@ class TilingSection:
     window: int = 32
     stride: int = 32
 
-    @staticmethod
-    def from_dict(d):
-        _take(d, "tiling", TilingSection)
-        return TilingSection(**d)
-
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class NetworkSection:
     channel_plan: tuple = (8, 16, 8)
     stem_channels: int | None = None
-
-    @staticmethod
-    def from_dict(d):
-        _take(d, "network", NetworkSection)
-        out = NetworkSection(**d)
-        out.channel_plan = tuple(out.channel_plan)
-        return out
-
-    def to_dict(self):
-        return {"channel_plan": list(self.channel_plan),
-                "stem_channels": self.stem_channels}
 
 
 @dataclass
@@ -69,14 +55,6 @@ class RalSection:
     confidence_mode: str = "label"
     fresh_optimizer: bool = False
 
-    @staticmethod
-    def from_dict(d):
-        _take(d, "ral", RalSection)
-        return RalSection(**d)
-
-    def to_dict(self):
-        return asdict(self)
-
     def build(self, seed):
         return RalConfig(seed=seed, **asdict(self))
 
@@ -92,18 +70,6 @@ class SyntheticSection:
     noise_sigma: float = 0.05
     texture_amplitude: float = 0.25
     val_fraction: float = 0.2
-
-    @staticmethod
-    def from_dict(d):
-        _take(d, "synthetic", SyntheticSection)
-        out = SyntheticSection(**d)
-        out.slide_size = tuple(out.slide_size)
-        return out
-
-    def to_dict(self):
-        d = asdict(self)
-        d["slide_size"] = list(self.slide_size)
-        return d
 
     def build(self, seed):
         return SynthSpec(seed=seed, **asdict(self))
@@ -122,16 +88,10 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d):
-        _take(d, "experiment", ExperimentConfig)
-        cfg = ExperimentConfig(
-            seed=d.get("seed", 0),
-            dataset_path=d.get("dataset_path"),
-            output_dir=d.get("output_dir", "out"),
-            val_fraction=d.get("val_fraction", 0.2),
-            tiling=TilingSection.from_dict(d.get("tiling", {})),
-            network=NetworkSection.from_dict(d.get("network", {})),
-            ral=RalSection.from_dict(d.get("ral", {})),
-            synthetic=SyntheticSection.from_dict(d.get("synthetic", {})))
+        # the sections are the fields built by a default_factory
+        sections = {f.name: _take(d.get(f.name, {}), f.name, f.default_factory)
+                    for f in fields(ExperimentConfig) if f.default_factory is not MISSING}
+        cfg = _take({**d, **sections}, "experiment", ExperimentConfig)
         if cfg.tiling.window % 8 != 0:
             raise ValueError("tiling window must be divisible by 8 (network pools)")
         if not 0.0 < cfg.val_fraction < 1.0:
@@ -143,10 +103,7 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(json.loads(Path(path).read_text()))
 
     def to_dict(self):
-        return {"seed": self.seed, "dataset_path": self.dataset_path,
-                "output_dir": self.output_dir, "val_fraction": self.val_fraction,
-                "tiling": self.tiling.to_dict(), "network": self.network.to_dict(),
-                "ral": self.ral.to_dict(), "synthetic": self.synthetic.to_dict()}
+        return asdict(self)
 
     @property
     def eval_window(self):

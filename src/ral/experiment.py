@@ -16,7 +16,7 @@ artifact byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .config import ExperimentConfig
@@ -102,7 +102,7 @@ def write_report(out, config, class_names, result, oracle_metrics):
         "status": result.status,
         "total_epochs": result.total_epochs,
         "iterations": [r.to_dict() for r in result.reports],
-        "oracle_metrics": oracle_metrics.to_dict() if oracle_metrics else None,
+        "oracle_metrics": asdict(oracle_metrics) if oracle_metrics else None,
     }
     (out / "report.json").write_text(json.dumps(report, indent=1) + "\n")
 

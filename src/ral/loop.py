@@ -11,7 +11,7 @@ times, with full bookkeeping so every removal can be audited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -77,14 +77,7 @@ class IterationReport:
                 self.active_before - self.removed_by_confidence - self.removed_by_group)
 
     def to_dict(self):
-        return {"k": self.k, "active_before": self.active_before,
-                "removed_by_confidence": self.removed_by_confidence,
-                "removed_by_group": self.removed_by_group,
-                "active_after": self.active_after,
-                "train_patch_acc": self.train_patch_acc,
-                "val_patch_acc": self.val_patch_acc,
-                "train_slice_acc": self.train_slice_acc,
-                "val_slice_acc": self.val_slice_acc}
+        return asdict(self)
 
 
 @dataclass

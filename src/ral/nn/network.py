@@ -9,7 +9,7 @@ per-block widths so the same structure runs at desk scale or full scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,14 +33,6 @@ class LayerSpec:
             raise ValueError(f"conv kernel must be 1 or 3, got {self.kernel}")
         if self.kind == "maxpool" and self.kernel != 2:
             raise ValueError("maxpool kernel must be 2")
-
-    def to_dict(self):
-        return {"kind": self.kind, "kernel": self.kernel,
-                "channels": self.channels, "activation": self.activation}
-
-    @staticmethod
-    def from_dict(d):
-        return LayerSpec(d["kind"], d["kernel"], d["channels"], d["activation"])
 
 
 @dataclass(frozen=True)
@@ -70,12 +62,12 @@ class NetworkSpec:
 
     def to_dict(self):
         return {"input": list(self.input), "classes": self.classes,
-                "layers": [ls.to_dict() for ls in self.layers]}
+                "layers": [asdict(ls) for ls in self.layers]}
 
     @staticmethod
     def from_dict(d):
         return NetworkSpec(tuple(d["input"]),
-                           tuple(LayerSpec.from_dict(x) for x in d["layers"]),
+                           tuple(LayerSpec(**x) for x in d["layers"]),
                            d["classes"])
 
 

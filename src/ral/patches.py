@@ -148,17 +148,19 @@ class TrainingSet:
                 for s, c, r, v in zip(*(a.tolist() for a in columns))]
 
 
-def build_manifest(metas, spec: TilingSpec, class_names):
+def build_manifest(slides, spec: TilingSpec, class_names):
     """Plan all patch records for the given slides, as a TrainingSet
     without pixel data.
 
+    Reads only ``slide_id``, ``class_label``, ``height`` and ``width`` of
+    each slide, so a SlideImage and a pixel-free SlideMeta plan alike.
     Every grid cell, row-major within its slide, expands to its 8 variants;
     all records start active and carry the parent slide's label.
     """
     name_to_idx = {n: i for i, n in enumerate(class_names)}
     seen = set()
     cells = []  # per slide: the slide index, col and row of each grid cell
-    for s, meta in enumerate(metas):
+    for s, meta in enumerate(slides):
         if meta.slide_id in seen:
             raise ValueError(f"duplicate slide_id {meta.slide_id!r}")
         seen.add(meta.slide_id)
@@ -167,8 +169,8 @@ def build_manifest(metas, spec: TilingSpec, class_names):
         cells.append((np.full(cols * rows, s), col, row))
     slide, col, row = (np.repeat(np.concatenate(parts), VARIANTS) for parts in zip(*cells))
     n_groups = len(slide) // VARIANTS
-    labels = np.array([name_to_idx[m.class_label] for m in metas], dtype=np.intp)
-    return TrainingSet(list(class_names), [m.slide_id for m in metas], slide, col, row,
+    labels = np.array([name_to_idx[m.class_label] for m in slides], dtype=np.intp)
+    return TrainingSet(list(class_names), [m.slide_id for m in slides], slide, col, row,
                        variant=np.tile(np.arange(VARIANTS), n_groups),
                        group=np.repeat(np.arange(n_groups), VARIANTS),
                        label=labels[slide], active=np.ones(len(slide), dtype=bool))
@@ -182,8 +184,7 @@ def build_training_set(slides, spec: TilingSpec, class_names=None):
     """
     if class_names is None:
         class_names = sorted({s.class_label for s in slides})
-    metas = [SlideMeta(s.slide_id, s.class_label, s.height, s.width) for s in slides]
-    ts = build_manifest(metas, spec, class_names)
+    ts = build_manifest(slides, spec, class_names)
     ts.pixels = np.empty((len(ts), spec.window, spec.window, slides[0].pixels.shape[2]),
                          dtype=np.float32)
     i = 0
@@ -207,18 +208,3 @@ def manifest_to_dicts(ts: TrainingSet):
                     "group_id": make_group_id(sid, c, r),
                     "label": ts.class_names[label], "active": active})
     return out
-
-
-def save_patch(ts: TrainingSet, index, path):
-    """Write the pixels of record ``index`` to disk.
-
-    ``.ralt`` keeps exact float32 values (bit-identical round trip);
-    ``.ppm``/``.pgm`` quantize to 8 bits for viewing.
-    """
-    from .imageio import save_image, save_ralt
-
-    pixels = ts.pixels[index]
-    path = str(path)
-    if path.endswith(".ralt"):
-        return save_ralt(path, pixels)
-    return save_image(path, pixels)

@@ -16,7 +16,7 @@ Regions coincide with the tiling grid (stride must equal the window), so
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -86,16 +86,6 @@ class SynthSpec:
 
     def contaminated_per_slide(self):
         return _round_half_up(self.contamination_rho * self.regions_per_slide())
-
-    def to_dict(self):
-        return {"classes": self.classes, "slide_size": list(self.slide_size),
-                "window": self.window, "stride": self.stride,
-                "slides_per_class": self.slides_per_class,
-                "contamination_rho": self.contamination_rho,
-                "noise_sigma": self.noise_sigma,
-                "texture_amplitude": self.texture_amplitude,
-                "texture_params": [list(t) for t in self.texture_params],
-                "val_fraction": self.val_fraction, "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -221,14 +211,6 @@ class OracleMetrics:
     removed_clean: int
     total_clean: int
 
-    def to_dict(self):
-        return {"mislabel_recall": self.mislabel_recall,
-                "clean_false_removal_rate": self.clean_false_removal_rate,
-                "removed_mislabeled": self.removed_mislabeled,
-                "total_mislabeled": self.total_mislabeled,
-                "removed_clean": self.removed_clean,
-                "total_clean": self.total_clean}
-
 
 def oracle_eval(removed_patch_ids, population_patch_ids, oracle: MislabelOracle):
     """Score a removal run against ground truth.
@@ -268,5 +250,5 @@ def write_dataset(dataset: SynthDataset, out_dir):
             d.mkdir(parents=True, exist_ok=True)
             save_image(d / f"{slide.slide_id}.ppm", slide.pixels)
     (out / "oracle.json").write_text(dataset.oracle.to_json())
-    (out / "generator.json").write_text(json.dumps(dataset.spec.to_dict(), indent=1))
+    (out / "generator.json").write_text(json.dumps(asdict(dataset.spec), indent=1))
     return out

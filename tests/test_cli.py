@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,79 @@ def tiny_config(tmp_path, **ral_overrides):
     return path, cfg
 
 
+# report.json embeds this block: its key order, and lists for tuple fields
+DEFAULT_CONFIG_JSON = """\
+{
+ "seed": 0,
+ "dataset_path": null,
+ "output_dir": "out",
+ "val_fraction": 0.2,
+ "tiling": {
+  "window": 32,
+  "stride": 32
+ },
+ "network": {
+  "channel_plan": [
+   8,
+   16,
+   8
+  ],
+  "stem_channels": null
+ },
+ "ral": {
+  "tau": 0.5,
+  "group_threshold": 4,
+  "iterations": 3,
+  "max_epochs": 6,
+  "target_train_accuracy": 1.01,
+  "finetune_epochs": 2,
+  "batch_size": 64,
+  "learning_rate": 0.001,
+  "beta1": 0.9,
+  "beta2": 0.999,
+  "epsilon": 1e-08,
+  "confidence_mode": "label",
+  "fresh_optimizer": false
+ },
+ "synthetic": {
+  "classes": 4,
+  "slide_size": [
+   128,
+   128
+  ],
+  "window": 32,
+  "stride": 32,
+  "slides_per_class": 10,
+  "contamination_rho": 0.1,
+  "noise_sigma": 0.05,
+  "texture_amplitude": 0.25,
+  "val_fraction": 0.2
+ }
+}"""
+
+# every key of every section, each set to a value other than its default
+NON_DEFAULT_CONFIG = {
+    "seed": 7, "dataset_path": "data", "output_dir": "runs/x", "val_fraction": 0.3,
+    "tiling": {"window": 64, "stride": 16},
+    "network": {"channel_plan": [4, 8, 4], "stem_channels": 6},
+    "ral": {"tau": 0.3, "group_threshold": 5, "iterations": 2, "max_epochs": 7,
+            "target_train_accuracy": 0.9, "finetune_epochs": 3, "batch_size": 32,
+            "learning_rate": 0.01, "beta1": 0.8, "beta2": 0.99, "epsilon": 1e-7,
+            "confidence_mode": "max", "fresh_optimizer": True},
+    "synthetic": {"classes": 3, "slide_size": [96, 64], "window": 16, "stride": 16,
+                  "slides_per_class": 6, "contamination_rho": 0.2, "noise_sigma": 0.1,
+                  "texture_amplitude": 0.3, "val_fraction": 0.25},
+}
+
+
+def leaves(d, prefix=""):
+    for k, v in d.items():
+        if isinstance(v, dict):
+            yield from leaves(v, f"{prefix}{k}.")
+        else:
+            yield f"{prefix}{k}", v
+
+
 def tree_digest(root):
     h = hashlib.sha256()
     for p in sorted(Path(root).rglob("*")):
@@ -52,9 +126,22 @@ class TestConfig:
             ExperimentConfig.from_dict({"ral": {"tau": 0.5, "taus": 0.4}})
 
     def test_round_trips_through_dict(self):
-        cfg = ExperimentConfig.from_dict({"seed": 3, "tiling": {"window": 64}})
-        again = ExperimentConfig.from_dict(cfg.to_dict())
-        assert again.to_dict() == cfg.to_dict()
+        for d in ({"seed": 3, "tiling": {"window": 64}}, {}, NON_DEFAULT_CONFIG):
+            cfg = ExperimentConfig.from_dict(d)
+            again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+            assert again.to_dict() == cfg.to_dict()
+            assert again == cfg  # JSON lists come back as tuples
+        assert ExperimentConfig.from_dict({}) == ExperimentConfig()
+        assert again.network.channel_plan == (4, 8, 4)
+        assert again.synthetic.slide_size == (96, 64)
+        assert json.loads(json.dumps(again.to_dict())) == NON_DEFAULT_CONFIG
+        default = dict(leaves(json.loads(DEFAULT_CONFIG_JSON)))
+        custom = dict(leaves(NON_DEFAULT_CONFIG))
+        assert list(custom) == list(default)
+        assert all(custom[k] != default[k] for k in custom)
+
+    def test_default_config_block_is_pinned(self):
+        assert json.dumps(ExperimentConfig().to_dict(), indent=1) == DEFAULT_CONFIG_JSON
 
     def test_window_must_fit_network_pools(self):
         with pytest.raises(ValueError, match="divisible by 8"):
@@ -178,6 +265,13 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("ral: error:")
 
+    def test_error_log_goes_to_config_output_dir(self, tmp_path, capsys):
+        cfg_path, cfg = tiny_config(tmp_path)
+        assert main(["ral", "--config", str(cfg_path)]) == 1
+        log = Path(cfg["output_dir"]) / "error.log"
+        assert "Traceback" in log.read_text()
+        assert f"detail in {log}" in capsys.readouterr().err
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg_path, cfg = tiny_config(tmp_path)
         main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
@@ -205,6 +299,18 @@ class TestLock:
         (out / ".lock").touch()
         assert main(["ral", "--config", str(cfg_path)]) == 1
         assert "locked" in capsys.readouterr().err
+
+    def test_lock_holds_its_pid(self, tmp_path):
+        with output_lock(tmp_path / "out") as out:
+            assert (out / ".lock").read_text() == f"{os.getpid()}\n"
+
+    def test_stale_lock_names_its_holder(self, tmp_path, capsys):
+        cfg_path, cfg = tiny_config(tmp_path)
+        out = Path(cfg["output_dir"])
+        out.mkdir(parents=True)
+        (out / ".lock").write_text("4242\n")
+        assert main(["generate", "--config", str(cfg_path)]) == 1
+        assert "locked by another run (pid 4242)" in capsys.readouterr().err
 
 
 class TestRunExperiment:

@@ -190,15 +190,6 @@ class TestTrainingSetBuild:
         assert ts.active_indices().tolist() == [0, 2, 3, 4, 6, 7]
         assert ts.patch_ids(~ts.active) == ["a/0/0/1", "a/0/0/5"]
 
-    def test_save_patch_round_trip(self, tmp_path):
-        from ral.imageio import load_image
-        from ral.patches import save_patch
-
-        slides = [make_slide("a", "Normal", 4, 4, seed=5)]
-        ts = build_training_set(slides, TilingSpec(4, 4))
-        path = save_patch(ts, 3, tmp_path / "p.ralt")
-        np.testing.assert_array_equal(load_image(path), ts.pixels[3])
-
     def test_manifest_dicts_carry_all_fields(self):
         from ral.patches import manifest_to_dicts
 
