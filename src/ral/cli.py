@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import json
 import os
 import sys
@@ -36,6 +37,33 @@ from .slices import evaluate_slides, predict_slide, render_class_map
 from .synth import generate, write_dataset
 
 
+# mallopt parameters of glibc's malloc.h
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+
+
+def keep_freed_memory():
+    """Have glibc's malloc keep freed memory in the process for reuse.
+
+    A training step frees a few MB of patch matrices and activations that
+    the next step allocates again. By default glibc maps blocks above its
+    mmap threshold (128 KiB, raised only after a larger mapped block is
+    freed) and unmaps them on free, and returns a free heap top above
+    twice that to the OS, so each step faults its working memory back in.
+    Fixed thresholds keep blocks up to 32 MiB on the heap and up to 64 MiB
+    of free heap in the process. Does nothing where libc has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 64 << 20)
+
+
+class OutputLocked(RuntimeError):
+    """Another run holds the output directory's lock; the directory is its."""
+
+
 @contextlib.contextmanager
 def output_lock(out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -46,7 +74,7 @@ def output_lock(out_dir: Path):
         holder = ""
         with contextlib.suppress(OSError, ValueError):
             holder = f" (pid {int(lock.read_text())})"
-        raise RuntimeError(f"output dir {out_dir} is locked by another run{holder} "
+        raise OutputLocked(f"output dir {out_dir} is locked by another run{holder} "
                            f"(remove {lock} if stale)") from None
     os.write(fd, f"{os.getpid()}\n".encode())
     os.close(fd)
@@ -209,11 +237,14 @@ def build_parser():
 
 
 def main(argv=None):
+    keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except Exception as e:
         print(f"ral: error: {e}", file=sys.stderr)
+        if isinstance(e, OutputLocked):  # leave the holder's directory as it is
+            return 1
         detail = None
         with contextlib.suppress(Exception):
             out = _error_dir(args)

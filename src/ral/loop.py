@@ -91,7 +91,11 @@ class RalResult:
 
 def _train_epochs(net, ts: TrainingSet, config: RalConfig, adam, rng,
                   max_epochs, target_accuracy=None, epoch_offset=0):
-    """Seeded mini-batch training on the active records. Returns EpochStats."""
+    """Seeded mini-batch training on the active records. Returns EpochStats.
+
+    Raises FloatingPointError, naming the epoch and the batch, as soon as
+    a batch's loss or any of its gradients is not finite.
+    """
     log = []
     for e in range(max_epochs):
         idx = ts.active_indices()
@@ -102,9 +106,13 @@ def _train_epochs(net, ts: TrainingSet, config: RalConfig, adam, rng,
         total_hits = 0
         for start in range(0, len(order), config.batch_size):
             take = order[start:start + config.batch_size]
-            x = ts.pixels[take]
+            x = ts.images[take]
             y = ts.label[take]
             loss, grads, logits = net.loss_and_grads(x, y, with_logits=True)
+            if not (np.isfinite(loss) and all(np.isfinite(g).all() for g in grads)):
+                raise FloatingPointError(
+                    f"training diverged: non-finite loss or gradient at epoch "
+                    f"{epoch_offset + e}, batch {start // config.batch_size}")
             adam.step(net.parameters(), grads)
             total_loss += loss * len(take)
             total_hits += int((logits.argmax(axis=1) == y).sum())
@@ -152,7 +160,7 @@ def score_training_set(net, ts: TrainingSet, mode="label"):
     if mode not in ("label", "max"):
         raise ValueError(f"unknown confidence mode {mode!r}")
     idx = ts.active_indices()
-    probs = net.predict_proba(ts.pixels, idx)
+    probs = net.predict_proba(ts.images, idx)
     conf = np.full(len(ts), np.nan)
     pred = np.full(len(ts), -1, dtype=np.intp)
     if mode == "label":

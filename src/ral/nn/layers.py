@@ -1,27 +1,36 @@
 """Layer forward/backward kernels.
 
-All image tensors are NHWC float arrays: (batch, height, width, channels).
-Layers keep their parameters but no per-call state: ``forward`` returns a
-cache that the matching ``backward`` consumes, so read-only passes can run
+Between layers, image tensors are channel-major float arrays: (channels,
+batch, height, width). ``Network.logits`` transposes its NHWC batch once
+at entry, ``GlobalAvgPool`` returns (batch, channels), and ``Dense``
+flattens a 4-D input in (height, width, channel) order, the order of an
+NHWC flatten, so dense weights mean the same in either layout. Layers
+keep their parameters but no per-call state: ``forward`` returns a cache
+that the matching ``backward`` consumes, so read-only passes can run
 concurrently over the same layer.
 
 Cache contract: a cache is a tuple, and the bool arrays in it are exactly
-the layer's activation pattern (the ReLU mask of a conv or dense layer, the
-routing mask of a max pool). ``gradcheck._signature`` reads those arrays to
-detect finite-difference steps that cross a kink, so a layer must keep its
-pattern there as a bool array and put no other bool or integer array in
-its cache.
+the layer's activation pattern (the ReLU mask of a conv or dense layer;
+for a max pool, the row and the column of each window's winner, and
+nothing about the cells that lost). ``gradcheck._signature`` reads those
+arrays to detect finite-difference steps that cross a kink, so a layer
+must keep its pattern there as bool arrays and put no other bool or
+integer array in its cache.
 
 Convolution is unfolded into one matrix multiply (Chellapilla, Puri &
 Simard, "High Performance Convolutional Neural Networks for Document
-Processing", IWFHR 2006): every k x k input window becomes one row of a
-patch matrix, and the layer's weights one (k*k*Cin, Cout) matrix.
+Processing", IWFHR 2006): every k x k input window becomes one column of
+a patch matrix, and the layer's weights one (Cout, k*k*Cin) matrix. The
+zero-padded planes are flattened to (Cin, n) (see ``_grid``); the output
+pixel at flat position q then reads window cell (di, dj) at q + di*Wq + dj,
+Wq being the padded row length, so each (di, dj) block of the patch
+matrix is one contiguous slice of the flat planes ("flat shift"). Columns
+whose position falls in the padding compute values that are cropped away.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 SUPPORTED_KERNELS = (1, 3)
 
@@ -30,23 +39,51 @@ def _relu(z):
     return np.maximum(z, 0)
 
 
-def _im2col(x, k):
-    """(B, H, W, C) -> (B*H*W, k*k*C) patch matrix of zero-padded k x k windows.
+def _grid(shape, p, dtype):
+    """Zeroed padded planes for (C, B, H, W) images, flattened, and the view
+    of them that holds the pixels.
 
-    Row (b, y, x) holds the window centred on pixel (y, x) of image b, in
-    (di, dj, c) order, so it lines up with ``w.reshape(k * k * C, F)``.
+    Every image row is preceded by p zeros and every image by p zero rows.
+    Those zeros also pad the row or the image before them, and a tail of p
+    rows and p zeros pads the last one, so each image is one (H + p, W + p)
+    cell of the grid and pixel (y, x) sits at cell position (y + p, x + p).
     """
-    B, H, W, C = x.shape
+    C, B, H, W = shape
+    Hq, Wq = H + p, W + p
+    flat = np.zeros((C, B * Hq * Wq + p * Wq + p), dtype)
+    return flat, flat[:, :B * Hq * Wq].reshape(C, B, Hq, Wq)[:, :, p:, p:]
+
+
+def _flat_shift(flat, k, Wq):
+    """(C, n) flattened grid -> (k*k*C, L) patch matrix.
+
+    Column q is the k x k window whose top-left cell is flat position q,
+    rows in (di, dj, c) order, so it lines up with ``w.reshape(k * k * C,
+    F)``. L ends with the last image's last window.
+    """
     if k == 1:
-        return x.reshape(B * H * W, C)
-    p = k // 2
-    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
-    # the k pixels of one window row are k*C consecutive values of an
-    # image row, so windows are taken over flattened rows, one per pixel
-    rows = xp.reshape(B, H + 2 * p, (W + 2 * p) * C)
-    runs = sliding_window_view(rows, k * C, axis=2)[:, :, ::C]   # (B, H+2p, W, k*C)
-    win = sliding_window_view(runs, k, axis=1)                   # (B, H, W, k*C, k)
-    return win.transpose(0, 1, 2, 4, 3).reshape(B * H * W, k * k * C)
+        return flat
+    C = flat.shape[0]
+    length = flat.shape[1] - (k - 1) * (Wq + 1)
+    cols = np.empty((k * k * C, length), flat.dtype)
+    for di in range(k):
+        for dj in range(k):
+            row, shift = (di * k + dj) * C, di * Wq + dj
+            cols[row:row + C] = flat[:, shift:shift + length]
+    return cols
+
+
+def _grid_product(w2, cols, shape, p):
+    """w2 @ cols laid out on the grid of (F, B, H, W) outputs with pad p,
+    as a (F, B, H, W) view.
+
+    The GEMM writes into a preallocated (F, B*(H+p)*(W+p)) buffer, so that
+    its result reshapes to the grid without a copy; the view crops it.
+    """
+    F, B, H, W = shape
+    buf = np.empty((F, B * (H + p) * (W + p)), np.result_type(w2, cols))
+    np.matmul(w2, cols, out=buf[:, :cols.shape[1]])
+    return buf.reshape(F, B, H + p, W + p)[:, :, :H, :W]
 
 
 class Conv2d:
@@ -78,45 +115,62 @@ class Conv2d:
         return [self.w, self.b]
 
     def forward(self, x):
-        if x.ndim != 4 or x.shape[3] != self.in_channels:
+        if x.ndim != 4 or x.shape[0] != self.in_channels:
             raise ValueError(
                 f"conv input shape {tuple(x.shape)} does not match weights "
-                f"{tuple(self.w.shape)} (expected {self.in_channels} channels)")
-        B, H, W, _ = x.shape
-        cols = _im2col(x, self.kernel)
-        z = cols @ self.w.reshape(-1, self.out_channels)
-        z += self.b
-        z = z.reshape(B, H, W, self.out_channels)
+                f"{tuple(self.w.shape)} (expected {self.in_channels} channels first)")
+        k, F = self.kernel, self.out_channels
+        C, B, H, W = x.shape
+        p = k // 2
+        if p:
+            flat, pixels = _grid(x.shape, p, x.dtype)
+            pixels[...] = x
+        else:
+            flat = x.reshape(C, -1)
+        cols = _flat_shift(flat, k, W + p)
+        z = np.empty((F, B, H, W), np.result_type(x, self.w))
+        np.add(_grid_product(self.w.reshape(-1, F).T, cols, z.shape, p),
+               self.b[:, None, None, None], out=z)
         if self.activation == "relu":
             mask = z > 0
-            return np.maximum(z, 0, out=z), (cols, mask, x.shape)
-        return z, (cols, None, x.shape)
+            return np.maximum(z, 0, out=z), (cols, mask)
+        return z, (cols, None)
 
     def backward(self, dy, cache):
         """Input gradient (None unless ``input_grad``) and [dw, db].
 
-        dx is the "full" correlation of dz with the kernel turned by 180
-        degrees and its channel axes swapped, so it is one more patch-matrix
-        product, over the zero-padded dz.
+        dz is written once into a zeroed grid laid out like the input's.
+        Shifted by p*(W+p) + p it lines up with the patch matrix's columns
+        (zero wherever a column lies in the padding), which gives dw; dx is
+        the "full" correlation of dz with the kernel turned by 180 degrees
+        and its channel axes swapped, the same flat-shift product over it.
         """
-        cols, mask, in_shape = cache
-        dz = dy * mask if mask is not None else dy
-        k, cout = self.kernel, self.out_channels
-        dz2 = dz.reshape(-1, cout)
-        dw = (cols.T @ dz2).reshape(self.w.shape)
-        db = dz2.sum(axis=0)
+        cols, mask = cache
+        k, F = self.kernel, self.out_channels
+        p = k // 2
+        _, B, H, W = dy.shape
+        flat, dz = _grid(dy.shape, p, dy.dtype)
+        if mask is not None:
+            np.multiply(dy, mask, out=dz)
+        else:
+            dz[...] = dy
+        shift = p * (W + p) + p
+        dw = (cols @ flat[:, shift:shift + cols.shape[1]].T).reshape(self.w.shape)
+        db = dz.sum(axis=(1, 2, 3))
         if not self.input_grad:
             return None, [dw, db]
-        w_flip = self.w[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k * k * cout, self.in_channels)
-        dx = (_im2col(dz, k) @ w_flip).reshape(in_shape)
+        w_flip = self.w[::-1, ::-1].transpose(2, 0, 1, 3).reshape(self.in_channels, -1)
+        dx = _grid_product(w_flip, _flat_shift(flat, k, W + p), (self.in_channels, B, H, W), p)
         return dx, [dw, db]
 
 
 class MaxPool2x2:
     """Disjoint 2x2 max pooling, stride 2. Input height/width must be even.
 
-    The backward pass routes each upstream gradient to exactly one input
-    cell per window (the argmax; ties broken to the first position).
+    The maximum is taken in two pairwise stages, across each window row
+    and then between the two rows; each stage keeps its first operand on a
+    tie, so the winner is the window's first maximum in row-major order.
+    The backward pass routes each upstream gradient to that one cell.
     """
 
     @property
@@ -124,48 +178,58 @@ class MaxPool2x2:
         return []
 
     def forward(self, x):
-        B, H, W, C = x.shape
+        C, B, H, W = x.shape
         if H % 2 or W % 2:
             raise ValueError(f"maxpool2x2 requires even spatial dims, got {H}x{W}")
-        win = x.reshape(B, H // 2, 2, W // 2, 2, C)
-        # the same values as win.max(axis=(2, 4)), without a strided reduction
-        y = np.maximum(np.maximum(win[:, :, 0, :, 0], win[:, :, 0, :, 1]),
-                       np.maximum(win[:, :, 1, :, 0], win[:, :, 1, :, 1]))
-        route = win == y[:, :, None, :, None, :]
-        # keep only the first maximum of each window, in row-major order
-        taken = route[:, :, 0, :, 0].copy()
-        for a, b in ((0, 1), (1, 0), (1, 1)):
-            cell = route[:, :, a, :, b]
-            cell &= ~taken
-            taken |= cell
-        return y, (route,)
+        pairs = x.reshape(C, B, H, W // 2, 2)
+        left, right = pairs[..., 0], pairs[..., 1]
+        left_wins = (left >= right).reshape(C, B, H // 2, 2, W // 2)
+        rows = np.maximum(left, right).reshape(C, B, H // 2, 2, W // 2)
+        top, bottom = rows[:, :, :, 0], rows[:, :, :, 1]
+        top_wins = top >= bottom
+        # the column comparison of the winning row only, so that a losing
+        # row's own comparison never reaches the cache; on bools, a > b is
+        # a & ~b, and this is np.where(top_wins, top's, bottom's) unrolled
+        left_col = (top_wins & left_wins[:, :, :, 0]) | (left_wins[:, :, :, 1] > top_wins)
+        return np.maximum(top, bottom), (top_wins, left_col)
 
     def backward(self, dy, cache):
-        (route,) = cache
-        B, H2, _, W2, _, C = route.shape
-        dx = route * dy[:, :, None, :, None, :]
-        return dx.reshape(B, 2 * H2, 2 * W2, C), []
+        top_wins, left_col = cache
+        C, B, H2, W2 = dy.shape
+        # route dy to its column of the window, then to its row; each
+        # stage's second half is what the first half did not take
+        cols = np.empty((C, B, H2, W2, 2), dy.dtype)
+        np.multiply(dy, left_col, out=cols[..., 0])
+        np.subtract(dy, cols[..., 0], out=cols[..., 1])
+        cols = cols.reshape(C, B, H2, 2 * W2)
+        top = np.repeat(top_wins, 2, axis=3)
+        dx = np.empty((C, B, H2, 2, 2 * W2), dy.dtype)
+        np.multiply(cols, top, out=dx[:, :, :, 0])
+        np.subtract(cols, dx[:, :, :, 0], out=dx[:, :, :, 1])
+        return dx.reshape(C, B, 2 * H2, 2 * W2), []
 
 
 class GlobalAvgPool:
-    """Channel-wise mean over all spatial positions: (B,H,W,C) -> (B,C)."""
+    """Channel-wise mean over all spatial positions: (C,B,H,W) -> (B,C)."""
 
     @property
     def params(self):
         return []
 
     def forward(self, x):
-        B, H, W, C = x.shape
-        return x.mean(axis=(1, 2)), (H, W)
+        C, B, H, W = x.shape
+        return x.mean(axis=(2, 3)).T, (H, W)
 
     def backward(self, dy, cache):
         H, W = cache
-        dx = np.repeat(np.repeat(dy[:, None, None, :], H, axis=1), W, axis=2) / (H * W)
+        dx = np.empty(dy.T.shape + (H, W), dy.dtype)
+        dx[...] = (dy.T / (H * W))[:, :, None, None]
         return dx, []
 
 
 class Dense:
-    """Fully-connected layer. Flattens any non-batch dims of its input."""
+    """Fully-connected layer over (B, features) or channel-major (C, B, H, W)
+    input; the latter is flattened in (h, w, c) order."""
 
     def __init__(self, in_features, units, activation="none", rng=None, dtype=np.float32):
         self.in_features = in_features
@@ -181,7 +245,10 @@ class Dense:
         return [self.w, self.b]
 
     def forward(self, x):
-        x2 = x.reshape(x.shape[0], -1)
+        if x.ndim == 4:
+            x2 = x.transpose(1, 2, 3, 0).reshape(x.shape[1], -1)
+        else:
+            x2 = x.reshape(x.shape[0], -1)
         if x2.shape[1] != self.in_features:
             raise ValueError(
                 f"dense input shape {tuple(x.shape)} flattens to {x2.shape[1]} features, "
@@ -196,5 +263,8 @@ class Dense:
         dz = dy * mask if mask is not None else dy
         dw = x2.T @ dz
         db = dz.sum(axis=0)
-        dx = (dz @ self.w.T).reshape(in_shape)
-        return dx, [dw, db]
+        dx = dz @ self.w.T
+        if len(in_shape) == 4:
+            C, B, H, W = in_shape
+            return dx.reshape(B, H, W, C).transpose(3, 0, 1, 2), [dw, db]
+        return dx.reshape(in_shape), [dw, db]

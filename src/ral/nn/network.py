@@ -180,7 +180,8 @@ class Network:
 
     def logits(self, batch, keep_caches=False):
         self._check_batch(batch)
-        x = np.asarray(batch, dtype=self.dtype)
+        # layers pass activations channel-major, (C, B, H, W)
+        x = np.asarray(batch, dtype=self.dtype).transpose(3, 0, 1, 2)
         caches = []
         for layer in self.layers:
             x, cache = layer.forward(x)
@@ -198,7 +199,9 @@ class Network:
         forward() runs on PREDICT_CHUNK samples at a time, and only those
         samples are gathered from batch. The fixed chunk bounds the memory
         a pass holds at once, and keeps every pass's arithmetic, and so its
-        bytes, independent of the caller's batch size.
+        bytes, independent of the caller's batch size. batch is an array,
+        or anything with a len() that gathers samples into one array when
+        indexed with an index array, such as ``TrainingSet.images``.
         """
         rows = np.arange(len(batch)) if rows is None else rows
         if len(rows) <= PREDICT_CHUNK:

@@ -10,6 +10,7 @@ operates. Every patch starts out carrying its parent slide's label.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,17 @@ def augment8(pixels):
     return [np.ascontiguousarray(variant_transform(pixels, v)) for v in range(VARIANTS)]
 
 
+@functools.cache
+def _variant_sources(size):
+    """(VARIANTS, size*size) table: row v holds, for each flat position of
+    variant v of a size x size patch, the flat position in the patch that
+    it copies."""
+    grid = np.arange(size * size).reshape(size, size)
+    table = np.stack([variant_transform(grid, v).ravel() for v in range(VARIANTS)])
+    table.flags.writeable = False
+    return table
+
+
 def make_patch_id(slide_id, col, row, variant):
     return f"{slide_id}/{col}/{row}/{variant}"
 
@@ -115,9 +127,10 @@ class TrainingSet:
     ``group[i]`` numbers its augmentation group, the 8 variants of one crop.
     Records only ever get deactivated (``active`` cleared), never relabeled
     or deleted, so any pruning decision can be audited afterwards.
-    ``pixels`` is an (R, H, W, C) float32 array aligned with the records;
-    it is None for manifest-only sets (planning and counting work without
-    touching pixel data).
+    ``crops`` is a (groups, H, W, C) float32 array holding each group's
+    crop once, as variant 0; it is None for manifest-only sets (planning
+    and counting work without touching pixel data). ``images[rows]``
+    derives the records' pixels from it.
     """
 
     class_names: list
@@ -129,10 +142,22 @@ class TrainingSet:
     group: np.ndarray
     label: np.ndarray
     active: np.ndarray
-    pixels: np.ndarray | None = None
+    crops: np.ndarray | None = None
 
     def __len__(self):
         return len(self.label)
+
+    @property
+    def images(self):
+        """The records' pixels, gathered on indexing: ``images[rows]`` is an
+        (n, H, W, C) float32 array for an index array ``rows``."""
+        return RecordImages(self)
+
+    @property
+    def pixels(self):
+        """Every record's pixels as one (R, H, W, C) array, built on each
+        access; None for a manifest-only set."""
+        return None if self.crops is None else self.images[np.arange(len(self))]
 
     @property
     def n_active(self):
@@ -146,6 +171,27 @@ class TrainingSet:
         columns = (self.slide[idx], self.col[idx], self.row[idx], self.variant[idx])
         return [make_patch_id(self.slide_ids[s], c, r, v)
                 for s, c, r, v in zip(*(a.tolist() for a in columns))]
+
+
+class RecordImages:
+    """Indexable view of a TrainingSet's record pixels.
+
+    A record's pixels are its group's crop under its variant's symmetry,
+    a fixed permutation of the crop's pixel positions, so one ``np.take``
+    over the crops' pixels gathers any set of records.
+    """
+
+    def __init__(self, ts: TrainingSet):
+        self.ts = ts
+
+    def __len__(self):
+        return len(self.ts)
+
+    def __getitem__(self, rows):
+        ts = self.ts
+        _, h, w, c = ts.crops.shape
+        src = (ts.group[rows] * (h * w))[:, None] + _variant_sources(h)[ts.variant[rows]]
+        return np.take(ts.crops.reshape(-1, c), src, axis=0).reshape(len(src), h, w, c)
 
 
 def build_manifest(slides, spec: TilingSpec, class_names):
@@ -177,22 +223,23 @@ def build_manifest(slides, spec: TilingSpec, class_names):
 
 
 def build_training_set(slides, spec: TilingSpec, class_names=None):
-    """Tile and augment slides into a materialized TrainingSet.
+    """Tile slides into a materialized TrainingSet.
 
-    Each variant is written straight into one preallocated pixel array, so
-    the pixels are held once.
+    Each crop is written once, into one preallocated (groups, H, W, C)
+    array; its 8 variants are derived when records are gathered, so the
+    set holds an eighth of its records' pixels.
     """
     if class_names is None:
         class_names = sorted({s.class_label for s in slides})
     ts = build_manifest(slides, spec, class_names)
-    ts.pixels = np.empty((len(ts), spec.window, spec.window, slides[0].pixels.shape[2]),
-                         dtype=np.float32)
-    i = 0
+    ts.crops = np.empty((len(ts) // VARIANTS, spec.window, spec.window,
+                         slides[0].pixels.shape[2]), dtype=np.float32)
+    g = 0
     for slide in slides:
         for _, crop in tile(slide, spec):
-            ts.pixels[i:i + VARIANTS] = augment8(crop)
-            i += VARIANTS
-    if i != len(ts):
+            ts.crops[g] = crop
+            g += 1
+    if g * VARIANTS != len(ts):
         raise AssertionError("pixel/record count mismatch")
     return ts
 

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +274,23 @@ class TestCommands:
         assert "Traceback" in log.read_text()
         assert f"detail in {log}" in capsys.readouterr().err
 
+    def test_diverged_training_fails_without_report(self, tmp_path, capsys, monkeypatch):
+        import ral.experiment
+
+        cfg_path, cfg = tiny_config(tmp_path)
+        main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
+        real_build = ral.experiment.build_network_for
+
+        def nan_network(*args):
+            net = real_build(*args)
+            net.layers[0].w[0, 0, 0, 0] = np.nan
+            return net
+
+        monkeypatch.setattr(ral.experiment, "build_network_for", nan_network)
+        assert main(["ral", "--config", str(cfg_path)]) == 1
+        assert "at epoch 0, batch 0" in capsys.readouterr().err
+        assert not (Path(cfg["output_dir"]) / "report.json").exists()
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg_path, cfg = tiny_config(tmp_path)
         main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
@@ -311,6 +330,36 @@ class TestLock:
         (out / ".lock").write_text("4242\n")
         assert main(["generate", "--config", str(cfg_path)]) == 1
         assert "locked by another run (pid 4242)" in capsys.readouterr().err
+        # the directory is the holder's: the failed run leaves nothing in it
+        assert sorted(p.name for p in out.iterdir()) == [".lock"]
+
+
+class TestAllocator:
+    def test_freed_block_is_reused_without_faults(self):
+        import ctypes
+
+        import ral
+
+        try:
+            ctypes.CDLL(None).mallopt
+        except (OSError, AttributeError, TypeError):
+            pytest.skip("libc has no mallopt")
+        # a fresh interpreter: the allocator state of this one depends on
+        # the tests before; 3 MiB stays below numpy's huge-page advice
+        code = (
+            "import resource, numpy as np\n"
+            "from ral.cli import keep_freed_memory\n"
+            "keep_freed_memory()\n"
+            "a = np.ones(3 << 18, np.float32); del a\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "a = np.ones(3 << 18, np.float32)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        src = str(Path(ral.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        faults = int(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                    capture_output=True, text=True).stdout)
+        # 768 pages when the block is mapped afresh
+        assert faults < 64
 
 
 class TestRunExperiment:

@@ -95,6 +95,11 @@ def test_signature_tracks_pool_winner():
     loser_moved = x.copy()
     loser_moved[0, 0, 0, 0] += 0.5  # 1.5 still loses to 6 in its window
     assert signature(loser_moved) == base
+    # window (1, 2; 5, 6) with 1 -> 3: the top row's own comparison flips,
+    # but 6 still wins, and only winners may reach the signature
+    row_flipped = x.copy()
+    row_flipped[0, 0, 0, 0] = 3.0
+    assert signature(row_flipped) == base
     winner_changed = x.copy()
     winner_changed[0, 0, 0, 0] = 100.0
     assert signature(winner_changed) != base

@@ -255,6 +255,18 @@ class TestFinetune:
         for a, b in zip(net.parameters(), before):
             np.testing.assert_array_equal(a, b)
 
+    def test_nan_weight_stops_training_at_its_batch(self):
+        ts = toy_set()
+        net = dense_net(seed=4)
+        net.layers[0].w[5, 1] = np.nan
+        before = [p.copy() for p in net.parameters()]
+        config = RalConfig(finetune_epochs=2, learning_rate=0.01, batch_size=4)
+        with pytest.raises(FloatingPointError, match="at epoch 3, batch 0"):
+            finetune(net, ts, config, config.make_optimizer(), epoch_offset=3)
+        # the optimizer never saw the bad gradients
+        for a, b in zip(net.parameters(), before):
+            np.testing.assert_array_equal(a, b)
+
     def test_loss_finite_and_logged(self):
         ts = toy_set()
         net = dense_net(seed=4)

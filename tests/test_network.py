@@ -99,6 +99,27 @@ def test_tiny_net_matches_hand_composition():
     np.testing.assert_allclose(net.forward(x), softmax(logits), atol=1e-5)
 
 
+def test_conv_pool_dense_matches_hand_composed_nhwc():
+    # no avgpool: the dense layer sees the pooled map itself, so its weights
+    # must read it in NHWC flatten order, as checkpoints were written
+    spec = NetworkSpec((4, 6, 2),
+                       (LayerSpec("conv", 3, 3, "relu"), LayerSpec("maxpool", 2),
+                        LayerSpec("dense", channels=4)),
+                       4)
+    net = Network(spec, seed=10)
+    conv, _, dense = net.layers
+    conv.b[:] = [0.1, -0.2, 0.3]
+    rng = np.random.default_rng(6)
+    x = rng.random((3, 4, 6, 2))
+    w = conv.w.astype(np.float64)
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    z = sum(xp[:, di:di + 4, dj:dj + 6, :] @ w[di, dj]
+            for di in range(3) for dj in range(3)) + conv.b
+    pooled = np.maximum(z, 0).reshape(3, 2, 2, 3, 2, 3).max(axis=(2, 4))
+    logits = pooled.reshape(3, -1) @ dense.w.astype(np.float64) + dense.b
+    np.testing.assert_allclose(net.forward(x.astype(np.float32)), softmax(logits), atol=1e-6)
+
+
 def test_zero_weight_dense_only_bias_gradient():
     spec = NetworkSpec((2, 2, 1), (LayerSpec("dense", channels=4),), 4)
     net = Network(spec, seed=0)

@@ -178,6 +178,20 @@ class TestTrainingSetBuild:
             crop = slides[s].pixels[4 * r:4 * r + 4, 4 * c:4 * c + 4]
             np.testing.assert_array_equal(ts.pixels[i], variant_transform(crop, v))
 
+    def test_one_crop_per_group(self):
+        # odd window, overlapping tiles, and rows gathered out of order
+        slides = [make_slide("a", "Normal", 7, 5, seed=4)]
+        ts = build_training_set(slides, TilingSpec(3, 2))
+        assert ts.crops.shape == (len(ts) // 8, 3, 3, 3)
+        for g in range(len(ts.crops)):
+            np.testing.assert_array_equal(ts.crops[g], ts.pixels[8 * g])
+        rows = np.array([13, 2, len(ts) - 1, 2, 8])
+        got = ts.images[rows]
+        assert got.shape == (5, 3, 3, 3) and got.dtype == np.float32
+        for k, i in enumerate(rows):
+            crop = ts.crops[ts.group[i]]
+            np.testing.assert_array_equal(got[k], variant_transform(crop, ts.variant[i]))
+
     def test_group_of_helper(self):
         assert group_of("slide/3/2/7") == "slide/3/2"
 
