@@ -26,7 +26,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .config import ExperimentConfig
-from .dataset import class_names_of, load_dataset
+from .dataset import class_names_of, load_dataset, require_splits
 from .experiment import build_network_for, run_experiment
 from .imageio import load_image, save_image
 from .loop import initial_train
@@ -178,6 +178,7 @@ def cmd_eval(args):
     net = load_checkpoint(args.checkpoint)
     train_slides, val_slides, class_names, _ = load_dataset(
         _dataset_path(config), config.val_fraction, config.seed)
+    require_splits(train_slides, val_slides)
     summary = {split: evaluate_slides(net, slides, config.eval_window, class_names)
                for split, slides in (("train", train_slides), ("val", val_slides))}
     with output_lock(out):

@@ -57,6 +57,15 @@ def split_slides(slides, val_fraction, seed):
     return train, val
 
 
+def require_splits(train, val):
+    """Raise unless both splits hold a slide; run before any training, so
+    that a split rounded down to nothing fails before the work, not after."""
+    for name, split in (("training", train), ("validation", val)):
+        if not split:
+            raise ValueError(f"the {name} split is empty: raise val_fraction or "
+                             f"add slides so that each split gets at least one")
+
+
 def class_names_of(root):
     """Class directory names without loading any pixel data."""
     root = Path(root)

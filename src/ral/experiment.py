@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .config import ExperimentConfig
-from .dataset import load_dataset
+from .dataset import load_dataset, require_splits
 from .loop import run_ral
 from .nn import Network, build_classifier, save_checkpoint
 from .patches import TilingSpec, build_training_set
@@ -71,6 +71,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, write=True):
     out = Path(out_dir if out_dir is not None else config.output_dir)
     train_slides, val_slides, class_names, oracle = load_dataset(
         config.dataset_path, config.val_fraction, config.seed)
+    require_splits(train_slides, val_slides)
 
     tiling = TilingSpec(config.tiling.window, config.tiling.stride)
     ts = build_training_set(train_slides, tiling, class_names)

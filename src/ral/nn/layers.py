@@ -9,12 +9,20 @@ keep their parameters but no per-call state: ``forward`` returns a cache
 that the matching ``backward`` consumes, so read-only passes can run
 concurrently over the same layer.
 
-Cache contract: a cache is a tuple, and the bool arrays in it are exactly
-the layer's activation pattern (the ReLU mask of a conv or dense layer;
-for a max pool, the row and the column of each window's winner, and
-nothing about the cells that lost). ``gradcheck._signature`` reads those
-arrays to detect finite-difference steps that cross a kink, so a layer
-must keep its pattern there as bool arrays and put no other bool or
+``forward(x, train)`` runs a training forward, or with ``train=False`` a
+read-only one; ``train=None`` (the default) takes the mode of the
+innermost ``training()`` block, and training outside any. A read-only
+forward computes the same output bytes, builds nothing that only
+``backward`` reads, and returns None as its cache: the max-pool routing
+and the ReLU masks exist only in training, and only training keeps the
+conv patch matrix.
+
+Cache contract: a training cache is a tuple, and the bool arrays in it are
+exactly the layer's activation pattern (the ReLU mask of a conv or dense
+layer; for a max pool, the row and the column of each window's winner,
+and nothing about the cells that lost). ``gradcheck._signature`` reads
+those arrays to detect finite-difference steps that cross a kink, so a
+layer must keep its pattern there as bool arrays and put no other bool or
 integer array in its cache.
 
 Convolution is unfolded into one matrix multiply (Chellapilla, Puri &
@@ -30,9 +38,35 @@ whose position falls in the padding compute values that are cropped away.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+
 import numpy as np
 
 SUPPORTED_KERNELS = (1, 3)
+
+_TRAINING = contextvars.ContextVar("training", default=True)
+
+
+@contextlib.contextmanager
+def training(train):
+    """Run the forwards called inside, in this thread, in training mode or
+    (``train`` false) read-only.
+
+    ``Network.logits`` uses it, not the ``train`` argument, so that every
+    layer is called as ``forward(x)``: a wrapper that instruments a layer's
+    forward (as the benchmark's tracer and its corrupted-kernel checks do)
+    sees read-only passes through the same signature as training ones.
+    """
+    token = _TRAINING.set(bool(train))
+    try:
+        yield
+    finally:
+        _TRAINING.reset(token)
+
+
+def _training(train):
+    return _TRAINING.get() if train is None else train
 
 
 def _relu(z):
@@ -114,7 +148,7 @@ class Conv2d:
     def params(self):
         return [self.w, self.b]
 
-    def forward(self, x):
+    def forward(self, x, train=None):
         if x.ndim != 4 or x.shape[0] != self.in_channels:
             raise ValueError(
                 f"conv input shape {tuple(x.shape)} does not match weights "
@@ -131,6 +165,10 @@ class Conv2d:
         z = np.empty((F, B, H, W), np.result_type(x, self.w))
         np.add(_grid_product(self.w.reshape(-1, F).T, cols, z.shape, p),
                self.b[:, None, None, None], out=z)
+        if not _training(train):
+            if self.activation == "relu":
+                np.maximum(z, 0, out=z)
+            return z, None
         if self.activation == "relu":
             mask = z > 0
             return np.maximum(z, 0, out=z), (cols, mask)
@@ -177,15 +215,17 @@ class MaxPool2x2:
     def params(self):
         return []
 
-    def forward(self, x):
+    def forward(self, x, train=None):
         C, B, H, W = x.shape
         if H % 2 or W % 2:
             raise ValueError(f"maxpool2x2 requires even spatial dims, got {H}x{W}")
         pairs = x.reshape(C, B, H, W // 2, 2)
         left, right = pairs[..., 0], pairs[..., 1]
-        left_wins = (left >= right).reshape(C, B, H // 2, 2, W // 2)
         rows = np.maximum(left, right).reshape(C, B, H // 2, 2, W // 2)
         top, bottom = rows[:, :, :, 0], rows[:, :, :, 1]
+        if not _training(train):
+            return np.maximum(top, bottom), None
+        left_wins = (left >= right).reshape(C, B, H // 2, 2, W // 2)
         top_wins = top >= bottom
         # the column comparison of the winning row only, so that a losing
         # row's own comparison never reaches the cache; on bools, a > b is
@@ -216,9 +256,9 @@ class GlobalAvgPool:
     def params(self):
         return []
 
-    def forward(self, x):
+    def forward(self, x, train=None):
         C, B, H, W = x.shape
-        return x.mean(axis=(2, 3)).T, (H, W)
+        return x.mean(axis=(2, 3)).T, ((H, W) if _training(train) else None)
 
     def backward(self, dy, cache):
         H, W = cache
@@ -244,7 +284,7 @@ class Dense:
     def params(self):
         return [self.w, self.b]
 
-    def forward(self, x):
+    def forward(self, x, train=None):
         if x.ndim == 4:
             x2 = x.transpose(1, 2, 3, 0).reshape(x.shape[1], -1)
         else:
@@ -254,6 +294,8 @@ class Dense:
                 f"dense input shape {tuple(x.shape)} flattens to {x2.shape[1]} features, "
                 f"weights expect {self.in_features}")
         z = x2 @ self.w + self.b
+        if not _training(train):
+            return (_relu(z) if self.activation == "relu" else z), None
         if self.activation == "relu":
             return _relu(z), (x2, x.shape, z > 0)
         return z, (x2, x.shape, None)

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .layers import Conv2d, Dense, GlobalAvgPool, MaxPool2x2
+from .layers import Conv2d, Dense, GlobalAvgPool, MaxPool2x2, training
 from .loss import softmax, softmax_cross_entropy_batch
 
 LAYER_KINDS = ("conv", "maxpool", "avgpool", "dense")
@@ -128,8 +128,9 @@ def build_classifier(input_size, channel_plan=(128, 256, 128), in_channels=3,
 # Index range of the 11-layer extraction trunk inside build_classifier's layout.
 TRUNK_SLICE = slice(2, 13)
 
-# Samples per forward() call in predict_proba. Per-record time is flat from
-# 32 to 256 samples, while the patch matrices grow with the chunk.
+# Samples per forward() call in predict_proba, for the scoring pass, a
+# slide's grid and a whole evaluation split alike. Per-record time is flat
+# from 32 to 256 samples, while the patch matrices grow with the chunk.
 PREDICT_CHUNK = 64
 
 
@@ -179,13 +180,15 @@ class Network:
                 f"batch shape {tuple(batch.shape)} does not match network input {tuple(self.spec.input)}")
 
     def logits(self, batch, keep_caches=False):
+        """Logits, and with ``keep_caches`` the training caches that
+        backward needs; without, every layer runs its read-only forward."""
         self._check_batch(batch)
         # layers pass activations channel-major, (C, B, H, W)
         x = np.asarray(batch, dtype=self.dtype).transpose(3, 0, 1, 2)
         caches = []
-        for layer in self.layers:
-            x, cache = layer.forward(x)
-            if keep_caches:
+        with training(keep_caches):
+            for layer in self.layers:
+                x, cache = layer.forward(x)
                 caches.append(cache)
         return (x, caches) if keep_caches else x
 
@@ -201,7 +204,9 @@ class Network:
         a pass holds at once, and keeps every pass's arithmetic, and so its
         bytes, independent of the caller's batch size. batch is an array,
         or anything with a len() that gathers samples into one array when
-        indexed with an index array, such as ``TrainingSet.images``.
+        indexed with an index array: ``TrainingSet.images`` for the scoring
+        pass, ``slices.SlideCells`` for a slide's grid or all the cells of
+        an evaluation split.
         """
         rows = np.arange(len(batch)) if rows is None else rows
         if len(rows) <= PREDICT_CHUNK:

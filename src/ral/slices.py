@@ -6,6 +6,10 @@ patch; the slide label is the plurality winner over the per-patch argmax
 labels. Count ties go to the tied class with the larger summed probability
 over all cells, and an exact tie after that falls back to the lowest class
 index, so the vote is fully deterministic.
+
+Cells are read straight out of each slide's pixels (``SlideCells``), and
+one ``predict_proba`` pass scores them, for one slide or for every slide
+of an evaluation split, in ``PREDICT_CHUNK`` chunks.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import macro_accuracy, plain_accuracy
-from .patches import SlideImage, TilingSpec, tile
+from .patches import SlideImage
 
 # Class-name keyed colors for rendered maps, with an indexed fallback
 # palette for other naming schemes. All colors are distinct.
@@ -75,39 +79,75 @@ def majority_vote(patch_labels, grid_probs):
     return int(best), True, counts
 
 
+class SlideCells:
+    """Indexable view of the grid cells of one or more slides.
+
+    Cell i is the i-th cell, row-major, of the slides in order.
+    ``cells[rows]`` gathers cells ``rows`` into an (n, window, window, C)
+    float32 array, so a pass over many slides copies one chunk of cells at
+    a time, never the whole set. Slide dimensions must be divisible by the
+    window.
+    """
+
+    def __init__(self, slides, window):
+        self.grids = []  # per slide: (rows, cols, window, window, C) view of its pixels
+        for slide in slides:
+            if slide.height % window or slide.width % window:
+                raise ValueError(
+                    f"slide {slide.slide_id} is {slide.width}x{slide.height}, "
+                    f"not divisible by window {window}")
+            rows, cols = slide.height // window, slide.width // window
+            self.grids.append(slide.pixels.reshape(rows, window, cols, window, -1)
+                              .swapaxes(1, 2))
+        self.starts = np.cumsum([0] + [g.shape[0] * g.shape[1] for g in self.grids])
+
+    def __len__(self):
+        return int(self.starts[-1])
+
+    def __getitem__(self, rows):
+        rows = np.asarray(rows)
+        slide = np.searchsorted(self.starts, rows, side="right") - 1
+        out = np.empty((len(rows),) + self.grids[0].shape[2:], np.float32)
+        for s in np.unique(slide):
+            mine = slide == s
+            grid = self.grids[s]
+            out[mine] = grid[np.divmod(rows[mine] - self.starts[s], grid.shape[1])]
+        return out
+
+
+def _prediction(slide_id, grid):
+    patch_labels = grid.argmax(axis=2)
+    voted, tie_broken, counts = majority_vote(patch_labels, grid)
+    return SlidePrediction(slide_id, grid, patch_labels, voted,
+                           {int(c): int(n) for c, n in enumerate(counts) if n},
+                           tie_broken)
+
+
+def predict_slides(net, slides, window):
+    """Grid up each slide without overlap, score all cells in one pass, vote
+    per slide. Slide dimensions must be divisible by the window."""
+    cells = SlideCells(slides, window)
+    probs = net.predict_proba(cells)
+    return [_prediction(s.slide_id, probs[a:b].reshape(g.shape[0], g.shape[1], -1))
+            for s, g, a, b in zip(slides, cells.grids, cells.starts, cells.starts[1:])]
+
+
 def predict_slide(net, slide: SlideImage, window):
     """Grid up a slide without overlap, score each patch, vote.
 
     Slide dimensions must be divisible by the window.
     """
-    if slide.height % window or slide.width % window:
-        raise ValueError(
-            f"slide {slide.slide_id} is {slide.width}x{slide.height}, "
-            f"not divisible by window {window}")
-    rows = slide.height // window
-    cols = slide.width // window
-    crops = tile(slide, TilingSpec(window, window))
-    batch = np.stack([c for _, c in crops]).astype(np.float32)
-    probs = net.predict_proba(batch)
-    grid = probs.reshape(rows, cols, -1)
-    patch_labels = grid.argmax(axis=2)
-    voted, tie_broken, counts = majority_vote(patch_labels, grid)
-    return SlidePrediction(slide.slide_id, grid, patch_labels, voted,
-                           {int(c): int(n) for c, n in enumerate(counts) if n},
-                           tie_broken)
+    return predict_slides(net, [slide], window)[0]
 
 
 def render_class_map(prediction: SlidePrediction, class_names, cell_size=32):
     """One colored block per grid cell, as an RGB float image in [0,1]."""
     rows, cols = prediction.patch_labels.shape
-    img = np.zeros((rows * cell_size, cols * cell_size, 3), dtype=np.float32)
-    for r in range(rows):
-        for c in range(cols):
-            idx = int(prediction.patch_labels[r, c])
-            color = class_color(class_names[idx], idx)
-            img[r * cell_size:(r + 1) * cell_size,
-                c * cell_size:(c + 1) * cell_size] = color
-    return img
+    palette = np.array([class_color(name, i) for i, name in enumerate(class_names)],
+                       dtype=np.float32)
+    img = np.empty((rows, cell_size, cols, cell_size, 3), dtype=np.float32)
+    img[...] = palette[prediction.patch_labels][:, None, :, None]
+    return img.reshape(rows * cell_size, cols * cell_size, 3)
 
 
 def slice_accuracy(predictions, truth_labels, n_classes):
@@ -129,14 +169,17 @@ def slice_accuracy(predictions, truth_labels, n_classes):
 
 
 def evaluate_slides(net, slides, window, class_names):
-    """Patch and slide accuracy of labeled slides, from one grid pass each.
+    """Patch and slide accuracy of labeled slides, from one grid pass over
+    all their cells.
 
     Patch accuracy is the macro accuracy of every grid cell's label against
     its slide's label. Returns {"patch_acc", "slice_acc" (macro),
     "slice_acc_plain"}, all in %.
     """
+    if not slides:
+        raise ValueError("evaluate_slides needs at least one slide, got an empty split")
     n = len(class_names)
-    preds = [predict_slide(net, s, window) for s in slides]
+    preds = predict_slides(net, slides, window)
     truth = {s.slide_id: class_names.index(s.class_label) for s in slides}
     cell_truth = np.concatenate([np.full(p.patch_labels.size, truth[p.slide_id])
                                  for p in preds])

@@ -12,6 +12,7 @@ import pytest
 from ral.cli import main, output_lock
 from ral.config import ExperimentConfig, RalSection, SyntheticSection
 from ral.experiment import run_experiment
+from ral.imageio import save_image
 from ral.loop import RalConfig
 from ral.nn import Network, build_classifier, save_checkpoint
 from ral.synth import SynthSpec
@@ -360,6 +361,49 @@ class TestAllocator:
                                     capture_output=True, text=True).stdout)
         # 768 pages when the block is mapped afresh
         assert faults < 64
+
+
+def write_flat_dataset(root, slides_per_class, size=32):
+    # root/<class>/<slide>.ppm, split at load time
+    rng = np.random.default_rng(0)
+    for name in ("Benign", "InSitu", "Invasive", "Normal"):
+        (root / name).mkdir(parents=True)
+        for i in range(slides_per_class):
+            save_image(root / name / f"{name}{i}.ppm",
+                       rng.random((size, size, 3), dtype=np.float32))
+
+
+class TestEmptySplit:
+    # 2 slides per class at val_fraction 0.2: round(0.4) = 0 validation slides
+    def test_ral_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        cfg_path, cfg = tiny_config(tmp_path)
+        write_flat_dataset(Path(cfg["dataset_path"]), 2)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained on a run without a validation split")
+
+        monkeypatch.setattr("ral.experiment.run_ral", no_training)
+        assert main(["ral", "--config", str(cfg_path)]) == 1
+        assert "validation split is empty" in capsys.readouterr().err
+        assert not (Path(cfg["output_dir"]) / "report.json").exists()
+
+    def test_eval_fails_with_the_same_message(self, tmp_path, capsys):
+        cfg_path, cfg = tiny_config(tmp_path)
+        write_flat_dataset(Path(cfg["dataset_path"]), 2)
+        ckpt = tmp_path / "w.ralw"
+        save_checkpoint(ckpt, Network(build_classifier(16, (2, 4, 2)), seed=0))
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 1
+        assert "validation split is empty" in capsys.readouterr().err
+        assert not (Path(cfg["output_dir"]) / "eval.json").exists()
+
+    def test_three_slides_per_class_pass_the_check(self, tmp_path, capsys):
+        cfg_path, cfg = tiny_config(tmp_path)
+        write_flat_dataset(Path(cfg["dataset_path"]), 3)
+        ckpt = tmp_path / "w.ralw"
+        save_checkpoint(ckpt, Network(build_classifier(16, (2, 4, 2)), seed=0))
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 0
+        summary = json.loads((Path(cfg["output_dir"]) / "eval.json").read_text())
+        assert sorted(summary) == ["train", "val"]
 
 
 class TestRunExperiment:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ral.nn import Conv2d, GlobalAvgPool, MaxPool2x2
-from ral.nn.layers import Dense
+from ral.nn.layers import Dense, training
 
 # The layers pass activations channel-major, (C, B, H, W). The oracles
 # below stay in NHWC; tests transpose at the boundary.
@@ -252,3 +252,45 @@ class TestDense:
         dy = rng.random((2, 5), dtype=np.float32)
         dx, _ = d.backward(dy, cache)
         np.testing.assert_allclose(nhwc(dx), (dy @ d.w.T).reshape(x.shape), atol=1e-6)
+
+
+def layer_cases():
+    """(layer, channel-major input) for each layer kind and activation."""
+    rng = np.random.default_rng(11)
+    x = lambda *shape: rng.standard_normal(shape).astype(np.float32)
+    return [
+        (Conv2d(3, 3, 4, rng=rng), x(3, 2, 6, 8)),
+        (Conv2d(1, 3, 4, rng=rng), x(3, 2, 6, 8)),
+        (Conv2d(3, 3, 4, activation="none", rng=rng), x(3, 2, 6, 8)),
+        (MaxPool2x2(), x(3, 2, 6, 8)),
+        (GlobalAvgPool(), x(3, 2, 6, 8)),
+        (Dense(6 * 8 * 3, 5, rng=rng), x(3, 2, 6, 8)),
+        (Dense(6, 5, activation="relu", rng=rng), x(4, 6)),
+    ]
+
+
+class TestReadOnlyForward:
+    @pytest.mark.parametrize("case", range(len(layer_cases())))
+    def test_same_output_and_no_cache(self, case):
+        layer, x = layer_cases()[case]
+        y, cache = layer.forward(x)
+        assert cache is not None
+        y_ro, cache_ro = layer.forward(x, train=False)
+        np.testing.assert_array_equal(y_ro, y)
+        assert y_ro.dtype == y.dtype
+        assert cache_ro is None
+
+    def test_training_context_is_scoped(self):
+        layer, x = layer_cases()[3]
+        with training(False):
+            assert layer.forward(x)[1] is None
+            # an explicit argument overrides the context, and so does a nested block
+            assert layer.forward(x, train=True)[1] is not None
+            with training(True):
+                assert layer.forward(x)[1] is not None
+            assert layer.forward(x)[1] is None
+        assert layer.forward(x)[1] is not None
+        with pytest.raises(RuntimeError):
+            with training(False):
+                raise RuntimeError("inside")
+        assert layer.forward(x)[1] is not None

@@ -4,6 +4,7 @@ import pytest
 from ral.nn import (LayerSpec, Network, NetworkSpec, TRUNK_SLICE,
                     build_classifier, load_checkpoint, save_checkpoint,
                     softmax)
+from ral.nn.network import PREDICT_CHUNK
 
 FULL_SCALE_TRUNK = [
     ("conv", 3, 128), ("conv", 1, 128), ("conv", 3, 128),
@@ -206,3 +207,29 @@ def test_truncated_checkpoint_reports_missing_bytes(tmp_path):
     path.write_bytes(blob[:-10])
     with pytest.raises(ValueError, match="truncated"):
         load_checkpoint(path)
+
+
+def test_predict_proba_matches_training_forward_bytes():
+    # the read-only path builds no caches but must compute the same bytes as
+    # the training path, chunk by chunk, across several chunks
+    net = Network(build_classifier(16, (2, 4, 2)), seed=12)
+    rng = np.random.default_rng(13)
+    x = rng.random((2 * PREDICT_CHUNK + 7, 16, 16, 3), dtype=np.float32)
+    expected = np.concatenate([softmax(net.logits(x[i:i + PREDICT_CHUNK], keep_caches=True)[0])
+                               for i in range(0, len(x), PREDICT_CHUNK)])
+    got = net.predict_proba(x)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+    rows = np.arange(len(x))[::-3]
+    np.testing.assert_array_equal(net.predict_proba(x, rows), net.predict_proba(x[rows]))
+
+
+def test_read_only_pass_leaves_training_caches_intact():
+    net = Network(build_classifier(16, (2, 4, 2)), seed=14)
+    rng = np.random.default_rng(15)
+    x = rng.random((4, 16, 16, 3), dtype=np.float32)
+    _, caches = net.logits(x, keep_caches=True)
+    net.predict_proba(x)
+    _, again = net.logits(x, keep_caches=True)
+    assert all(c is not None for c in again)
+    assert len(again) == len(caches) == len(net.layers)

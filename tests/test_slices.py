@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from ral.metrics import macro_accuracy, plain_accuracy
-from ral.nn import LayerSpec, Network, NetworkSpec
+from ral.nn import LayerSpec, Network, NetworkSpec, build_classifier
+from ral.nn.network import PREDICT_CHUNK
 from ral.patches import SlideImage
 from ral.slices import (class_color, evaluate_slides, majority_vote,
-                        predict_slide, render_class_map, slice_accuracy,
+                        predict_slide, predict_slides, render_class_map, slice_accuracy,
                         SlidePrediction)
 
 CLASSES = ["Normal", "Benign", "InSitu", "Invasive"]
@@ -52,10 +53,40 @@ class TestPredictSlide:
         net = small_net()
         with pytest.raises(ValueError, match="not divisible"):
             predict_slide(net, make_slide("s", 20, 16), window=8)
+        with pytest.raises(ValueError, match="not divisible"):
+            evaluate_slides(net, [make_slide("a", 16, 16), make_slide("b", 16, 20)], 8,
+                            CLASSES)
 
+
+
+def mixed_split(n=24):
+    # slides of different sizes, more cells than one predict_proba chunk
+    return [make_slide(f"s{i}", 8 * (1 + i % 3), 8 * (2 + i % 4), seed=30 + i,
+                       label=CLASSES[i % 4]) for i in range(n)]
 
 
 class TestEvaluateSlides:
+    def test_batched_pass_matches_per_slide_predictions(self):
+        net = Network(build_classifier(8, (2, 4, 2)), seed=5)
+        slides = mixed_split()
+        assert sum(s.height * s.width for s in slides) // 64 > 2 * PREDICT_CHUNK
+        batched = predict_slides(net, slides, 8)
+        assert [p.slide_id for p in batched] == [s.slide_id for s in slides]
+        for got, slide in zip(batched, slides):
+            alone = predict_slide(net, slide, 8)
+            np.testing.assert_array_equal(got.grid_probs, alone.grid_probs)
+            np.testing.assert_array_equal(got.patch_labels, alone.patch_labels)
+            assert (got.voted_label, got.vote_counts, got.tie_broken) == \
+                (alone.voted_label, alone.vote_counts, alone.tie_broken)
+
+    def test_empty_split_rejected_before_any_pass(self):
+        class NoForward:
+            def predict_proba(self, batch, rows=None):
+                raise AssertionError("forward pass on an empty split")
+
+        with pytest.raises(ValueError, match="at least one slide"):
+            evaluate_slides(NoForward(), [], 8, CLASSES)
+
     def test_matches_per_cell_tally(self):
         net = small_net(seed=4)
         slides = [make_slide(f"s{i}", 16, 24, seed=10 + i, label=CLASSES[i % 4])
@@ -169,6 +200,21 @@ class TestRenderClassMap:
                 expected = np.array(class_color(CLASSES[labels[r, c]], labels[r, c]))
                 block = img[2 * r:2 * r + 2, 2 * c:2 * c + 2]
                 np.testing.assert_allclose(block, np.broadcast_to(expected, (2, 2, 3)))
+
+    @pytest.mark.parametrize("names", [CLASSES, [f"class{i}" for i in range(10)]])
+    def test_bytes_match_per_cell_loop(self, names):
+        labels = np.random.default_rng(8).integers(len(names), size=(5, 7))
+        img = render_class_map(self.make_prediction_n(labels, len(names)), names, cell_size=3)
+        ref = np.zeros((15, 21, 3), dtype=np.float32)
+        for r in range(5):
+            for c in range(7):
+                idx = int(labels[r, c])
+                ref[3 * r:3 * r + 3, 3 * c:3 * c + 3] = class_color(names[idx], idx)
+        assert img.dtype == np.float32 and img.flags.c_contiguous and img.flags.writeable
+        assert img.tobytes() == ref.tobytes()
+
+    def make_prediction_n(self, labels, n):
+        return SlidePrediction("s", np.eye(n)[labels], labels, 0, {}, False)
 
     def test_label_grids_map_to_distinct_images(self):
         a = self.make_prediction(np.zeros((2, 2), dtype=int))
