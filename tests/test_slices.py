@@ -5,7 +5,7 @@ from ral.metrics import macro_accuracy, plain_accuracy
 from ral.nn import LayerSpec, Network, NetworkSpec, build_classifier
 from ral.nn.network import PREDICT_CHUNK
 from ral.patches import SlideImage
-from ral.slices import (class_color, evaluate_slides, majority_vote,
+from ral.slices import (SlideCells, class_color, evaluate_slides, majority_vote,
                         predict_slide, predict_slides, render_class_map, slice_accuracy,
                         SlidePrediction)
 
@@ -78,6 +78,21 @@ class TestEvaluateSlides:
             np.testing.assert_array_equal(got.patch_labels, alone.patch_labels)
             assert (got.voted_label, got.vote_counts, got.tie_broken) == \
                 (alone.voted_label, alone.vote_counts, alone.tie_broken)
+
+    def test_cells_gather_any_index_array(self):
+        slides = mixed_split()
+        crops = [s.pixels[y:y + 8, x:x + 8] for s in slides
+                 for y in range(0, s.height, 8) for x in range(0, s.width, 8)]
+        cells = SlideCells(slides, 8)
+        assert len(cells) == len(crops)
+        rng = np.random.default_rng(9)
+        for rows in (np.arange(len(crops)), np.arange(5, 77), rng.permutation(len(crops)),
+                     rng.integers(len(crops), size=40), np.array([3, 3, 4, 2]),
+                     np.array([], dtype=int)):
+            got = cells[rows]
+            assert got.dtype == np.float32 and got.shape == (len(rows), 8, 8, 3)
+            for g, i in zip(got, rows):
+                np.testing.assert_array_equal(g, crops[i])
 
     def test_empty_split_rejected_before_any_pass(self):
         class NoForward:
