@@ -224,12 +224,19 @@ def test_predict_proba_matches_training_forward_bytes():
     np.testing.assert_array_equal(net.predict_proba(x, rows), net.predict_proba(x[rows]))
 
 
-def test_read_only_pass_leaves_training_caches_intact():
+def test_read_only_passes_build_no_caches():
     net = Network(build_classifier(16, (2, 4, 2)), seed=14)
     rng = np.random.default_rng(15)
     x = rng.random((4, 16, 16, 3), dtype=np.float32)
-    _, caches = net.logits(x, keep_caches=True)
+    seen = []
+    for layer in net.layers:
+        def spy(x, forward=layer.forward):
+            y, cache = forward(x)
+            seen.append(cache)
+            return y, cache
+        layer.forward = spy
     net.predict_proba(x)
-    _, again = net.logits(x, keep_caches=True)
-    assert all(c is not None for c in again)
-    assert len(again) == len(caches) == len(net.layers)
+    assert len(seen) == len(net.layers) and all(c is None for c in seen)
+    seen.clear()
+    net.loss_and_grads(x, np.arange(4))
+    assert len(seen) == len(net.layers) and all(c is not None for c in seen)
