@@ -58,7 +58,6 @@ class TestPredictSlide:
                             CLASSES)
 
 
-
 def mixed_split(n=24):
     # slides of different sizes, more cells than one predict_proba chunk
     return [make_slide(f"s{i}", 8 * (1 + i % 3), 8 * (2 + i % 4), seed=30 + i,
@@ -190,9 +189,9 @@ class TestMajorityVote:
 
 
 class TestRenderClassMap:
-    def make_prediction(self, labels):
+    def make_prediction(self, labels, n_classes=4):
         labels = np.asarray(labels)
-        probs = np.eye(4)[labels]
+        probs = np.eye(n_classes)[labels]
         return SlidePrediction("s", probs, labels, 0, {}, False)
 
     def test_uniform_grid_renders_one_color(self):
@@ -219,7 +218,7 @@ class TestRenderClassMap:
     @pytest.mark.parametrize("names", [CLASSES, [f"class{i}" for i in range(10)]])
     def test_bytes_match_per_cell_loop(self, names):
         labels = np.random.default_rng(8).integers(len(names), size=(5, 7))
-        img = render_class_map(self.make_prediction_n(labels, len(names)), names, cell_size=3)
+        img = render_class_map(self.make_prediction(labels, len(names)), names, cell_size=3)
         ref = np.zeros((15, 21, 3), dtype=np.float32)
         for r in range(5):
             for c in range(7):
@@ -227,9 +226,6 @@ class TestRenderClassMap:
                 ref[3 * r:3 * r + 3, 3 * c:3 * c + 3] = class_color(names[idx], idx)
         assert img.dtype == np.float32 and img.flags.c_contiguous and img.flags.writeable
         assert img.tobytes() == ref.tobytes()
-
-    def make_prediction_n(self, labels, n):
-        return SlidePrediction("s", np.eye(n)[labels], labels, 0, {}, False)
 
     def test_label_grids_map_to_distinct_images(self):
         a = self.make_prediction(np.zeros((2, 2), dtype=int))
