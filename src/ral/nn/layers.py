@@ -9,13 +9,11 @@ keep their parameters but no per-call state: ``forward`` returns a cache
 that the matching ``backward`` consumes, so read-only passes can run
 concurrently over the same layer.
 
-``forward(x, train)`` runs a training forward, or with ``train=False`` a
-read-only one; ``train=None`` (the default) takes the mode of the
-innermost ``training()`` block, and training outside any. A read-only
-forward computes the same output bytes, builds nothing that only
-``backward`` reads, and returns None as its cache: the max-pool routing
-and the ReLU masks exist only in training, and only training keeps the
-conv patch matrix.
+``forward(x)`` runs a training forward, or inside a ``training(False)``
+block a read-only one. A read-only forward computes the same output
+bytes, builds nothing that only ``backward`` reads, and returns None as
+its cache: the max-pool routing and the ReLU masks exist only in
+training, and only training keeps the conv patch matrix.
 
 Cache contract: a training cache is a tuple, and the bool arrays in it are
 exactly the layer's activation pattern (the ReLU mask of a conv or dense
@@ -51,22 +49,18 @@ _TRAINING = contextvars.ContextVar("training", default=True)
 @contextlib.contextmanager
 def training(train):
     """Run the forwards called inside, in this thread, in training mode or
-    (``train`` false) read-only.
+    (``train`` false) read-only; outside any block, forwards train.
 
-    ``Network.logits`` uses it, not the ``train`` argument, so that every
-    layer is called as ``forward(x)``: a wrapper that instruments a layer's
-    forward (as the benchmark's tracer and its corrupted-kernel checks do)
-    sees read-only passes through the same signature as training ones.
+    The mode is a context, not an argument, so that every layer is called
+    as ``forward(x)``: a wrapper that instruments a layer's forward (as the
+    benchmark's tracer and its corrupted-kernel checks do) sees read-only
+    passes through the same signature as training ones.
     """
     token = _TRAINING.set(bool(train))
     try:
         yield
     finally:
         _TRAINING.reset(token)
-
-
-def _training(train):
-    return _TRAINING.get() if train is None else train
 
 
 def _relu(z):
@@ -148,7 +142,7 @@ class Conv2d:
     def params(self):
         return [self.w, self.b]
 
-    def forward(self, x, train=None):
+    def forward(self, x):
         if x.ndim != 4 or x.shape[0] != self.in_channels:
             raise ValueError(
                 f"conv input shape {tuple(x.shape)} does not match weights "
@@ -165,7 +159,7 @@ class Conv2d:
         z = np.empty((F, B, H, W), np.result_type(x, self.w))
         np.add(_grid_product(self.w.reshape(-1, F).T, cols, z.shape, p),
                self.b[:, None, None, None], out=z)
-        if not _training(train):
+        if not _TRAINING.get():
             if self.activation == "relu":
                 np.maximum(z, 0, out=z)
             return z, None
@@ -215,13 +209,13 @@ class MaxPool2x2:
     def params(self):
         return []
 
-    def forward(self, x, train=None):
+    def forward(self, x):
         C, B, H, W = x.shape
         if H % 2 or W % 2:
             raise ValueError(f"maxpool2x2 requires even spatial dims, got {H}x{W}")
         pairs = x.reshape(C, B, H, W // 2, 2)
         left, right = pairs[..., 0], pairs[..., 1]
-        if not _training(train):
+        if not _TRAINING.get():
             rows = np.maximum(left, right).reshape(C, B, H // 2, 2, W // 2)
             return np.maximum(rows[:, :, :, 0], rows[:, :, :, 1]), None
         # training allocates in this order; a reordering alone moved a desk
@@ -259,9 +253,9 @@ class GlobalAvgPool:
     def params(self):
         return []
 
-    def forward(self, x, train=None):
+    def forward(self, x):
         C, B, H, W = x.shape
-        return x.mean(axis=(2, 3)).T, ((H, W) if _training(train) else None)
+        return x.mean(axis=(2, 3)).T, ((H, W) if _TRAINING.get() else None)
 
     def backward(self, dy, cache):
         H, W = cache
@@ -287,7 +281,7 @@ class Dense:
     def params(self):
         return [self.w, self.b]
 
-    def forward(self, x, train=None):
+    def forward(self, x):
         if x.ndim == 4:
             x2 = x.transpose(1, 2, 3, 0).reshape(x.shape[1], -1)
         else:
@@ -297,7 +291,7 @@ class Dense:
                 f"dense input shape {tuple(x.shape)} flattens to {x2.shape[1]} features, "
                 f"weights expect {self.in_features}")
         z = x2 @ self.w + self.b
-        if not _training(train):
+        if not _TRAINING.get():
             return (_relu(z) if self.activation == "relu" else z), None
         if self.activation == "relu":
             return _relu(z), (x2, x.shape, z > 0)

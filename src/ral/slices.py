@@ -135,6 +135,8 @@ def _prediction(slide_id, grid):
 def predict_slides(net, slides, window):
     """Grid up each slide without overlap, score all cells in one pass, vote
     per slide. Slide dimensions must be divisible by the window."""
+    if not slides:
+        raise ValueError("need at least one slide to predict, got an empty split")
     cells = SlideCells(slides, window)
     probs = net.predict_proba(cells)
     return [_prediction(s.slide_id, probs[a:b].reshape(g.shape[0], g.shape[1], -1))
@@ -185,8 +187,6 @@ def evaluate_slides(net, slides, window, class_names):
     its slide's label. Returns {"patch_acc", "slice_acc" (macro),
     "slice_acc_plain"}, all in %.
     """
-    if not slides:
-        raise ValueError("evaluate_slides needs at least one slide, got an empty split")
     n = len(class_names)
     preds = predict_slides(net, slides, window)
     truth = {s.slide_id: class_names.index(s.class_label) for s in slides}

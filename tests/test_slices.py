@@ -100,6 +100,8 @@ class TestEvaluateSlides:
 
         with pytest.raises(ValueError, match="at least one slide"):
             evaluate_slides(NoForward(), [], 8, CLASSES)
+        with pytest.raises(ValueError, match="at least one slide"):
+            predict_slides(NoForward(), [], 8)
 
     def test_matches_per_cell_tally(self):
         net = small_net(seed=4)
