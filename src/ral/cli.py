@@ -111,7 +111,7 @@ def cmd_generate(args):
     with output_lock(out):
         ds = generate(config.synthetic.build(config.seed))
         write_dataset(ds, out)
-        n_mis = len(ds.oracle.mislabeled_groups())
+        n_mis = int(ds.oracle.mislabeled(ds.oracle.entries).sum())
         print(f"generated {len(ds.train_slides)} train + {len(ds.val_slides)} val slides "
               f"({', '.join(ds.class_names)}) with {n_mis}/{len(ds.oracle)} "
               f"mislabeled patch groups -> {out}")
@@ -173,12 +173,19 @@ def _p(v):
     return "n/a" if v is None else f"{v:.2f}%"
 
 
+def _require_classes(net, class_names, checkpoint):
+    if net.spec.classes != len(class_names):
+        raise ValueError(f"checkpoint {checkpoint} outputs {net.spec.classes} classes, "
+                         f"but the dataset has {len(class_names)}")
+
+
 def cmd_eval(args):
     config, out = _resolve(args)
     net = load_checkpoint(args.checkpoint)
     train_slides, val_slides, class_names, _ = load_dataset(
         _dataset_path(config), config.val_fraction, config.seed)
     require_splits(train_slides, val_slides)
+    _require_classes(net, class_names, args.checkpoint)
     summary = {split: evaluate_slides(net, slides, config.eval_window, class_names)
                for split, slides in (("train", train_slides), ("val", val_slides))}
     with output_lock(out):
@@ -197,6 +204,7 @@ def cmd_predict_slide(args):
         class_names = class_names_of(config.dataset_path)
     else:
         class_names = [f"class{i}" for i in range(net.spec.classes)]
+    _require_classes(net, class_names, args.checkpoint)
     slide = SlideImage(slide_id, class_names[0], pixels)
     pred = predict_slide(net, slide, config.eval_window)
     with output_lock(out):

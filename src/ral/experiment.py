@@ -75,17 +75,16 @@ def run_experiment(config: ExperimentConfig, out_dir=None, write=True):
 
     tiling = TilingSpec(config.tiling.window, config.tiling.stride)
     ts = build_training_set(train_slides, tiling, class_names)
-    population = ts.patch_ids()
+    # looked up before training, so that an oracle that lacks a group fails first
+    mislabeled = None if oracle is None else oracle.mislabeled(ts.group_ids())[ts.group]
     in_channels = train_slides[0].pixels.shape[2]
     net = build_network_for(config, class_names, in_channels)
     evaluator = make_evaluator(config, class_names, train_slides, val_slides)
 
     result = run_ral(net, ts, config.ral.build(config.seed), evaluator)
 
-    oracle_metrics = None
-    if oracle is not None:
-        removed = [pid for _, pid, _ in result.audit]
-        oracle_metrics = oracle_eval(removed, population, oracle)
+    # records start active and are only ever deactivated: inactive means removed
+    oracle_metrics = None if oracle is None else oracle_eval(~ts.active, mislabeled)
 
     if write:
         out.mkdir(parents=True, exist_ok=True)

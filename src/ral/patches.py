@@ -113,10 +113,6 @@ def make_group_id(slide_id, col, row):
     return f"{slide_id}/{col}/{row}"
 
 
-def group_of(patch_id):
-    return patch_id.rsplit("/", 1)[0]
-
-
 @dataclass(eq=False)
 class TrainingSet:
     """Patch records as numpy columns, plus their pixel data.
@@ -130,7 +126,8 @@ class TrainingSet:
     ``crops`` is a (groups, H, W, C) float32 array holding each group's
     crop once, as variant 0; it is None for manifest-only sets (planning
     and counting work without touching pixel data). ``images[rows]``
-    derives the records' pixels from it.
+    gathers the pixels of the records ``rows`` from it; no array holds
+    every record's pixels.
     """
 
     class_names: list
@@ -154,12 +151,6 @@ class TrainingSet:
         return RecordImages(self)
 
     @property
-    def pixels(self):
-        """Every record's pixels as one (R, H, W, C) array, built on each
-        access; None for a manifest-only set."""
-        return None if self.crops is None else self.images[np.arange(len(self))]
-
-    @property
     def n_active(self):
         return int(np.count_nonzero(self.active))
 
@@ -171,6 +162,13 @@ class TrainingSet:
         columns = (self.slide[idx], self.col[idx], self.row[idx], self.variant[idx])
         return [make_patch_id(self.slide_ids[s], c, r, v)
                 for s, c, r, v in zip(*(a.tolist() for a in columns))]
+
+    def group_ids(self):
+        """Id strings (slide/col/row) of the groups, indexed by group number."""
+        first = np.unique(self.group, return_index=True)[1]
+        columns = (self.slide[first], self.col[first], self.row[first])
+        return [make_group_id(self.slide_ids[s], c, r)
+                for s, c, r in zip(*(a.tolist() for a in columns))]
 
 
 class RecordImages:

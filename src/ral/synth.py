@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .imageio import save_image
-from .patches import SlideImage, group_of, make_group_id
+from .patches import SlideImage, make_group_id
 
 DEFAULT_CLASS_NAMES = ("Normal", "Benign", "InSitu", "Invasive")
 
@@ -108,26 +108,29 @@ class MislabelOracle:
     def __len__(self):
         return len(self.entries)
 
-    def entry(self, group_id):
-        if group_id not in self.entries:
-            raise ValueError(f"unknown group_id {group_id!r} in oracle")
-        return self.entries[group_id]
-
-    def mislabeled_groups(self):
-        return {gid for gid, e in self.entries.items() if e.mislabeled}
+    def mislabeled(self, group_ids):
+        """Bool array: is each of ``group_ids`` a mislabeled region."""
+        try:
+            return np.array([self.entries[g].mislabeled for g in group_ids], dtype=bool)
+        except KeyError as e:
+            raise ValueError(f"unknown group_id {e.args[0]!r} in oracle") from None
 
     def to_json(self):
-        return json.dumps([{"group_id": e.group_id,
-                            "assigned_label": e.assigned_label,
-                            "true_label": e.true_label,
-                            "is_mislabeled": e.mislabeled}
+        return json.dumps([{**asdict(e), "is_mislabeled": e.mislabeled}
                            for e in self.entries.values()], indent=1)
 
     @staticmethod
     def from_json(text):
-        return MislabelOracle([OracleEntry(d["group_id"], d["assigned_label"],
-                                           d["true_label"])
-                               for d in json.loads(text)])
+        entries = {}
+        for i, d in enumerate(json.loads(text)):
+            for field in ("group_id", "assigned_label", "true_label"):
+                if not isinstance(d, dict) or field not in d:
+                    raise ValueError(f"oracle entry {i} has no {field!r} field")
+            if d["group_id"] in entries:
+                raise ValueError(f"oracle lists group_id {d['group_id']!r} more than once")
+            entries[d["group_id"]] = OracleEntry(d["group_id"], d["assigned_label"],
+                                                 d["true_label"])
+        return MislabelOracle(entries.values())
 
 
 @dataclass
@@ -212,28 +215,19 @@ class OracleMetrics:
     total_clean: int
 
 
-def oracle_eval(removed_patch_ids, population_patch_ids, oracle: MislabelOracle):
+def oracle_eval(removed, mislabeled):
     """Score a removal run against ground truth.
 
-    ``population_patch_ids`` is the full initial set the removals were drawn
-    from (the active training records before any pruning); recall and false
-    removal rate are fractions of that population's mislabeled and clean
-    records respectively.
+    ``removed`` and ``mislabeled`` are aligned bool arrays, one entry per
+    record of the population the removals were drawn from (the training
+    records before any pruning); recall and false removal rate are
+    fractions of that population's mislabeled and clean records.
     """
-    removed = set(removed_patch_ids)
-    population = set(population_patch_ids)
-    stray = removed - population
-    if stray:
-        raise ValueError(f"removed ids not in population: {sorted(stray)[:3]}")
-    total_mis = total_clean = rem_mis = rem_clean = 0
-    for pid in population:
-        mislabeled = oracle.entry(group_of(pid)).mislabeled
-        if mislabeled:
-            total_mis += 1
-            rem_mis += pid in removed
-        else:
-            total_clean += 1
-            rem_clean += pid in removed
+    # Python ints: json.dumps rejects numpy integers
+    total_mis = int(np.count_nonzero(mislabeled))
+    total_clean = len(mislabeled) - total_mis
+    rem_mis = int(np.count_nonzero(removed & mislabeled))
+    rem_clean = int(np.count_nonzero(removed & ~mislabeled))
     recall = rem_mis / total_mis if total_mis else 0.0
     false_rate = rem_clean / total_clean if total_clean else 0.0
     return OracleMetrics(recall, false_rate, rem_mis, total_mis, rem_clean, total_clean)

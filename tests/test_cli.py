@@ -406,6 +406,89 @@ class TestEmptySplit:
         assert sorted(summary) == ["train", "val"]
 
 
+class TestCheckpointClasses:
+    # the tiny config's dataset has 4 classes
+    def setup_case(self, tmp_path, monkeypatch, classes):
+        cfg_path, cfg = tiny_config(tmp_path)
+        main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
+        ckpt = tmp_path / "w.ralw"
+        save_checkpoint(ckpt, Network(build_classifier(16, (2, 4, 2), classes=classes), seed=0))
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("ran a checkpoint whose classes do not match")
+
+        monkeypatch.setattr("ral.cli.evaluate_slides", no_forward)
+        monkeypatch.setattr("ral.cli.predict_slide", no_forward)
+        return cfg_path, cfg, ckpt
+
+    @pytest.mark.parametrize("classes", [2, 5])
+    def test_eval_rejects_other_class_count(self, tmp_path, capsys, monkeypatch, classes):
+        cfg_path, cfg, ckpt = self.setup_case(tmp_path, monkeypatch, classes)
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 1
+        assert (f"checkpoint {ckpt} outputs {classes} classes, but the dataset has 4"
+                in capsys.readouterr().err)
+        assert not (Path(cfg["output_dir"]) / "eval.json").exists()
+
+    @pytest.mark.parametrize("classes", [2, 5])
+    def test_predict_slide_rejects_other_class_count(self, tmp_path, capsys, monkeypatch,
+                                                     classes):
+        cfg_path, cfg, ckpt = self.setup_case(tmp_path, monkeypatch, classes)
+        image = next((Path(cfg["dataset_path"]) / "val").rglob("*.ppm"))
+        assert main(["predict-slide", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--image", str(image), "--out", str(tmp_path / "pred")]) == 1
+        assert (f"checkpoint {ckpt} outputs {classes} classes, but the dataset has 4"
+                in capsys.readouterr().err)
+        assert not list((tmp_path / "pred").glob("classmap_*"))
+
+
+class TestOracleMetrics:
+    # tau 0.24 removes part of the records; tau 0.5 empties the set
+    @pytest.mark.parametrize("tau", [0.24, 0.5])
+    def test_match_a_patch_id_reference(self, tmp_path, tau):
+        cfg_path, cfg = tiny_config(tmp_path, tau=tau)
+        main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
+        assert main(["ral", "--config", str(cfg_path)]) == 0
+        data, out = Path(cfg["dataset_path"]), Path(cfg["output_dir"])
+        # reference: score patch id strings, as audit.csv and oracle.json spell them
+        oracle = {e["group_id"]: e["assigned_label"] != e["true_label"]
+                  for e in json.loads((data / "oracle.json").read_text())}
+        removed = {line.split(",")[1]
+                   for line in (out / "audit.csv").read_text().splitlines()[1:]}
+        # every record of the training slides: 32x32 slides, 2x2 cells, 8 variants
+        population = [f"{p.stem}/{c}/{r}/{v}" for p in (data / "train").rglob("*.ppm")
+                      for c in range(2) for r in range(2) for v in range(8)]
+        assert removed <= set(population)
+        mis = [pid for pid in population if oracle[pid.rsplit("/", 1)[0]]]
+        clean = [pid for pid in population if not oracle[pid.rsplit("/", 1)[0]]]
+        rem_mis = sum(pid in removed for pid in mis)
+        rem_clean = sum(pid in removed for pid in clean)
+        report = json.loads((out / "report.json").read_text())
+        assert report["oracle_metrics"] == {
+            "mislabel_recall": rem_mis / len(mis),
+            "clean_false_removal_rate": rem_clean / len(clean),
+            "removed_mislabeled": rem_mis, "total_mislabeled": len(mis),
+            "removed_clean": rem_clean, "total_clean": len(clean)}
+        assert rem_mis > 0
+
+    def test_oracle_without_a_training_group_fails_before_training(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        cfg_path, cfg = tiny_config(tmp_path)
+        main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
+        oracle_path = Path(cfg["dataset_path"]) / "oracle.json"
+        train_slide = next((Path(cfg["dataset_path"]) / "train").rglob("*.ppm")).stem
+        entries = [e for e in json.loads(oracle_path.read_text())
+                   if e["group_id"] != f"{train_slide}/1/0"]
+        oracle_path.write_text(json.dumps(entries))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained against an oracle that lacks a group")
+
+        monkeypatch.setattr("ral.experiment.run_ral", no_training)
+        assert main(["ral", "--config", str(cfg_path)]) == 1
+        assert f"unknown group_id '{train_slide}/1/0'" in capsys.readouterr().err
+        assert not (Path(cfg["output_dir"]) / "report.json").exists()
+
+
 class TestRunExperiment:
     def test_empty_set_halt_reported(self, tmp_path):
         # zero learning rate keeps the net uniform: everything gets pruned

@@ -110,7 +110,7 @@ class TestScore:
         net = dense_net(seed=7)
         conf, pred = score_training_set(net, ts)
         for i in range(len(ts)):
-            probs = net.forward(ts.pixels[i][None])
+            probs = net.forward(ts.images[[i]])
             assert conf[i] == pytest.approx(float(probs[0, ts.label[i]]), abs=1e-6)
             assert pred[i] == probs[0].argmax()
 

@@ -3,7 +3,7 @@ import pytest
 
 from ral.patches import (SlideImage, SlideMeta, TilingSpec, augment8,
                          build_manifest, build_training_set, grid_counts,
-                         group_of, tile, variant_transform)
+                         tile, variant_transform)
 
 CLASSES = ["Benign", "InSitu", "Invasive", "Normal"]
 
@@ -112,7 +112,7 @@ class TestManifest:
                  for c in CLASSES for i in range(80)]
         ts = build_manifest(metas, TilingSpec(512, 256), CLASSES)
         assert len(ts) == 89_600
-        assert ts.pixels is None
+        assert ts.crops is None
 
     def test_single_exact_slide(self):
         ts = build_manifest([SlideMeta("s", "Normal", 512, 512)],
@@ -121,6 +121,7 @@ class TestManifest:
         assert set(ts.group.tolist()) == {0}
         assert sorted(ts.variant.tolist()) == list(range(8))
         assert ts.patch_ids() == [f"s/0/0/{v}" for v in range(8)]
+        assert ts.group_ids() == ["s/0/0"]
 
     def test_two_midsize_slides(self):
         metas = [SlideMeta("a", "Normal", 1024, 1024), SlideMeta("b", "Normal", 1024, 1024)]
@@ -167,16 +168,17 @@ class TestTrainingSetBuild:
                   make_slide("b", "Benign", 8, 8, seed=2)]
         ts = build_training_set(slides, TilingSpec(4, 4), ["Benign", "Normal"])
         assert len(ts) == 2 * 4 * 8
-        assert ts.pixels.shape == (64, 4, 4, 3)
-        assert ts.pixels.dtype == np.float32
+        pixels = ts.images[np.arange(len(ts))]
+        assert pixels.shape == (64, 4, 4, 3)
+        assert pixels.dtype == np.float32
         # variant 0 of group a/1/0 is the raw crop at x0=4, y0=0
         i = ts.patch_ids().index("a/1/0/0")
         assert ts.variant[i] == 0
-        np.testing.assert_array_equal(ts.pixels[i], slides[0].pixels[0:4, 4:8])
+        np.testing.assert_array_equal(pixels[i], slides[0].pixels[0:4, 4:8])
         for i in range(len(ts)):
             s, c, r, v = ts.slide[i], ts.col[i], ts.row[i], ts.variant[i]
             crop = slides[s].pixels[4 * r:4 * r + 4, 4 * c:4 * c + 4]
-            np.testing.assert_array_equal(ts.pixels[i], variant_transform(crop, v))
+            np.testing.assert_array_equal(pixels[i], variant_transform(crop, v))
 
     def test_one_crop_per_group(self):
         # odd window, overlapping tiles, and rows gathered out of order
@@ -184,16 +186,13 @@ class TestTrainingSetBuild:
         ts = build_training_set(slides, TilingSpec(3, 2))
         assert ts.crops.shape == (len(ts) // 8, 3, 3, 3)
         for g in range(len(ts.crops)):
-            np.testing.assert_array_equal(ts.crops[g], ts.pixels[8 * g])
+            np.testing.assert_array_equal(ts.crops[g], ts.images[[8 * g]][0])
         rows = np.array([13, 2, len(ts) - 1, 2, 8])
         got = ts.images[rows]
         assert got.shape == (5, 3, 3, 3) and got.dtype == np.float32
         for k, i in enumerate(rows):
             crop = ts.crops[ts.group[i]]
             np.testing.assert_array_equal(got[k], variant_transform(crop, ts.variant[i]))
-
-    def test_group_of_helper(self):
-        assert group_of("slide/3/2/7") == "slide/3/2"
 
     def test_deactivate_and_counts(self):
         slides = [make_slide("a", "Normal", 4, 4, seed=3)]
@@ -215,3 +214,5 @@ class TestTrainingSetBuild:
                             "variant": 1, "group_id": "s/1/0", "label": "Benign",
                             "active": True}
         assert dicts[10]["active"] is False
+        group_ids = ts.group_ids()
+        assert [group_ids[g] for g in ts.group] == [d["group_id"] for d in dicts]

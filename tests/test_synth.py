@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from ral.dataset import load_dataset
-from ral.patches import TilingSpec, tile
+from ral.patches import TilingSpec, build_training_set, tile
 from ral.synth import (MislabelOracle, OracleEntry, SynthSpec, generate,
                        oracle_eval, write_dataset)
 
@@ -14,6 +15,11 @@ def small_spec(**kw):
                     slides_per_class=5, contamination_rho=0.25, seed=3)
     defaults.update(kw)
     return SynthSpec(**defaults)
+
+
+def mislabeled_groups(oracle):
+    ids = list(oracle.entries)
+    return {gid for gid, flag in zip(ids, oracle.mislabeled(ids)) if flag}
 
 
 class TestSpec:
@@ -39,13 +45,13 @@ class TestSpec:
 class TestGenerate:
     def test_rho_zero_oracle_all_clean(self):
         ds = generate(small_spec(contamination_rho=0.0))
-        assert ds.oracle.mislabeled_groups() == set()
+        assert mislabeled_groups(ds.oracle) == set()
 
     def test_contaminated_count_exact_per_slide(self):
         spec = small_spec()  # 16 regions, rho 0.25 -> exactly 4 per slide
         ds = generate(spec)
         by_slide = {}
-        for gid in ds.oracle.mislabeled_groups():
+        for gid in mislabeled_groups(ds.oracle):
             by_slide[gid.split("/")[0]] = by_slide.get(gid.split("/")[0], 0) + 1
         for slide in ds.train_slides + ds.val_slides:
             assert by_slide.get(slide.slide_id, 0) == 4
@@ -88,7 +94,7 @@ class TestGenerate:
     def test_mislabeled_fraction_near_rho(self):
         spec = SynthSpec(slides_per_class=6, contamination_rho=0.1, seed=5)
         ds = generate(spec)
-        frac = len(ds.oracle.mislabeled_groups()) / len(ds.oracle)
+        frac = len(mislabeled_groups(ds.oracle)) / len(ds.oracle)
         assert frac == pytest.approx(0.125, abs=0.03)  # round(1.6)=2 of 16
 
 
@@ -123,47 +129,46 @@ class TestSeparability:
 
 
 class TestOracleEval:
-    def make_oracle(self):
-        entries = [OracleEntry("s/0/0", "A", "B"),   # mislabeled
-                   OracleEntry("s/1/0", "A", "A"),
-                   OracleEntry("s/0/1", "A", "A")]
-        oracle = MislabelOracle(entries)
-        population = [f"s/{c}/{r}/{v}" for (c, r) in [(0, 0), (1, 0), (0, 1)]
-                      for v in range(8)]
-        return oracle, population
+    def make_case(self):
+        # three groups of 8 records; only group 0 is mislabeled
+        oracle = MislabelOracle([OracleEntry("s/0/0", "A", "B"),
+                                 OracleEntry("s/1/0", "A", "A"),
+                                 OracleEntry("s/0/1", "A", "A")])
+        flags = oracle.mislabeled(["s/0/0", "s/1/0", "s/0/1"])
+        assert flags.tolist() == [True, False, False]
+        group = np.repeat(np.arange(3), 8)
+        return oracle, flags[group], group
 
     def test_nothing_removed(self):
-        oracle, pop = self.make_oracle()
-        m = oracle_eval([], pop, oracle)
+        _, mislabeled, _ = self.make_case()
+        m = oracle_eval(np.zeros(24, dtype=bool), mislabeled)
         assert (m.mislabel_recall, m.clean_false_removal_rate) == (0.0, 0.0)
+        assert (m.removed_mislabeled, m.removed_clean) == (0, 0)
 
     def test_exactly_the_mislabeled_removed(self):
-        oracle, pop = self.make_oracle()
-        removed = [pid for pid in pop if pid.startswith("s/0/0/")]
-        m = oracle_eval(removed, pop, oracle)
+        _, mislabeled, group = self.make_case()
+        m = oracle_eval(group == 0, mislabeled)
         assert (m.mislabel_recall, m.clean_false_removal_rate) == (1.0, 0.0)
         assert m.total_mislabeled == 8 and m.total_clean == 16
+        assert m.removed_mislabeled == 8 and m.removed_clean == 0
 
     def test_random_removal_rates_near_fraction(self):
         spec = small_spec(slides_per_class=8)
         ds = generate(spec)
-        pop = []
-        for slide in ds.train_slides:
-            for (col, row), _ in tile(slide, TilingSpec(spec.window, spec.stride)):
-                pop.extend(f"{slide.slide_id}/{col}/{row}/{v}" for v in range(8))
-        rng = np.random.default_rng(11)
+        ts = build_training_set(ds.train_slides, TilingSpec(spec.window, spec.stride),
+                                ds.class_names)
+        mislabeled = ds.oracle.mislabeled(ts.group_ids())[ts.group]
+        # 4 of each slide's 16 regions are mislabeled
+        assert mislabeled.sum() == len(ts) // 4
         f = 0.3
-        removed = [pid for pid in pop if rng.random() < f]
-        m = oracle_eval(removed, pop, ds.oracle)
+        m = oracle_eval(np.random.default_rng(11).random(len(ts)) < f, mislabeled)
         assert m.mislabel_recall == pytest.approx(f, abs=0.05)
         assert m.clean_false_removal_rate == pytest.approx(f, abs=0.05)
 
     def test_unknown_id_rejected(self):
-        oracle, pop = self.make_oracle()
-        with pytest.raises(ValueError, match="not in population"):
-            oracle_eval(["nope/0/0/0"], pop, oracle)
-        with pytest.raises(ValueError, match="unknown group_id"):
-            oracle_eval([], pop + ["nope/0/0/0"], oracle)
+        oracle, _, _ = self.make_case()
+        with pytest.raises(ValueError, match="unknown group_id 'nope/0/0'"):
+            oracle.mislabeled(["s/0/0", "nope/0/0"])
 
 
 class TestRoundTrip:
@@ -176,7 +181,7 @@ class TestRoundTrip:
         assert len(train) == len(ds.train_slides)
         assert len(val) == len(ds.val_slides)
         assert oracle is not None
-        assert oracle.mislabeled_groups() == ds.oracle.mislabeled_groups()
+        assert mislabeled_groups(oracle) == mislabeled_groups(ds.oracle)
         # pixel content survives 8-bit quantization to within half a step
         by_id = {s.slide_id: s for s in ds.train_slides}
         loaded = train[0]
@@ -189,3 +194,32 @@ class TestRoundTrip:
         meta = json.loads((root / "generator.json").read_text())
         assert meta["window"] == 16
         assert meta["slides_per_class"] == 2
+
+    @pytest.mark.parametrize("field", ["group_id", "assigned_label", "true_label"])
+    def test_oracle_entry_without_a_field_rejected(self, tmp_path, field):
+        root = write_dataset(generate(small_spec(slides_per_class=2)), tmp_path / "data")
+        entries = json.loads((root / "oracle.json").read_text())
+        del entries[3][field]
+        (root / "oracle.json").write_text(json.dumps(entries))
+        with pytest.raises(ValueError, match=f"oracle entry 3 has no '{field}' field"):
+            load_dataset(root)
+
+    def test_oracle_entry_that_is_no_object_rejected(self, tmp_path):
+        root = write_dataset(generate(small_spec(slides_per_class=2)), tmp_path / "data")
+        entries = json.loads((root / "oracle.json").read_text())
+        entries[2] = 7
+        (root / "oracle.json").write_text(json.dumps(entries))
+        with pytest.raises(ValueError, match="oracle entry 2 has no 'group_id' field"):
+            load_dataset(root)
+
+    def test_duplicate_group_id_rejected(self, tmp_path):
+        root = write_dataset(generate(small_spec(slides_per_class=2)), tmp_path / "data")
+        entries = json.loads((root / "oracle.json").read_text())
+        first = entries[0]
+        # a second entry for the same group that disagrees on its true label
+        other = next(e["true_label"] for e in entries if e["true_label"] != first["true_label"])
+        entries.append(dict(first, true_label=other))
+        (root / "oracle.json").write_text(json.dumps(entries))
+        with pytest.raises(ValueError, match=re.escape(
+                f"group_id {first['group_id']!r} more than once")):
+            load_dataset(root)
