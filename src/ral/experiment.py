@@ -68,6 +68,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, write=True):
     """Run the full refinement experiment described by the config."""
     if config.dataset_path is None:
         raise ValueError("config.dataset_path is required for this command")
+    ral_config = config.ral.build(config.seed)  # validated before any data is read
     out = Path(out_dir if out_dir is not None else config.output_dir)
     train_slides, val_slides, class_names, oracle = load_dataset(
         config.dataset_path, config.val_fraction, config.seed)
@@ -75,13 +76,15 @@ def run_experiment(config: ExperimentConfig, out_dir=None, write=True):
 
     tiling = TilingSpec(config.tiling.window, config.tiling.stride)
     ts = build_training_set(train_slides, tiling, class_names)
-    # looked up before training, so that an oracle that lacks a group fails first
-    mislabeled = None if oracle is None else oracle.mislabeled(ts.group_ids())[ts.group]
+    # looked up before training, so that an oracle that lacks a group, or
+    # disagrees with the training set's labels, fails first
+    mislabeled = (None if oracle is None else
+                  oracle.mislabeled(ts.group_ids(), ts.group_labels())[ts.group])
     in_channels = train_slides[0].pixels.shape[2]
     net = build_network_for(config, class_names, in_channels)
     evaluator = make_evaluator(config, class_names, train_slides, val_slides)
 
-    result = run_ral(net, ts, config.ral.build(config.seed), evaluator)
+    result = run_ral(net, ts, ral_config, evaluator)
 
     # records start active and are only ever deactivated: inactive means removed
     oracle_metrics = None if oracle is None else oracle_eval(~ts.active, mislabeled)

@@ -46,6 +46,14 @@ class RalConfig:
             raise ValueError("iterations and epoch counts must be non-negative")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
+        # learning_rate 0 is allowed: it freezes the weights
+        if not self.learning_rate >= 0.0:
+            raise ValueError(f"learning_rate must be non-negative, got {self.learning_rate}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.epsilon > 0.0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.confidence_mode not in ("label", "max"):
             raise ValueError(f"unknown confidence_mode {self.confidence_mode!r}")
 
@@ -109,11 +117,14 @@ def _train_epochs(net, ts: TrainingSet, config: RalConfig, adam, rng,
             x = ts.images[take]
             y = ts.label[take]
             loss, grads, logits = net.loss_and_grads(x, y, with_logits=True)
-            if not (np.isfinite(loss) and all(np.isfinite(g).all() for g in grads)):
+            # one vector laid out like net.theta, so the check and the
+            # step each cover every parameter in a few numpy calls
+            grad = np.concatenate([g.reshape(-1) for g in grads])
+            if not (np.isfinite(loss) and np.isfinite(grad).all()):
                 raise FloatingPointError(
                     f"training diverged: non-finite loss or gradient at epoch "
                     f"{epoch_offset + e}, batch {start // config.batch_size}")
-            adam.step(net.parameters(), grads)
+            adam.step([net.theta], [grad])
             total_loss += loss * len(take)
             total_hits += int((logits.argmax(axis=1) == y).sum())
         stats = EpochStats(epoch_offset + e, total_loss / len(order),

@@ -9,6 +9,7 @@ weights file (same path with a .json suffix appended to the stem).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -50,7 +51,7 @@ def load_checkpoint(path):
     for p, t in zip(params, tensors):
         if p.shape != t.shape:
             raise ValueError(f"{path}: tensor shape {t.shape} does not match spec shape {p.shape}")
-        p[...] = t
+    np.concatenate([t.reshape(-1) for t in tensors], out=net.theta)
     return net
 
 
@@ -75,7 +76,7 @@ def _read_tensors(blob, name):
     for i in range(count):
         (rank,) = struct.unpack("<I", take(4, f"tensor {i} rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"tensor {i} dims"))
-        n = int(np.prod(dims)) if rank else 1
+        n = math.prod(dims)
         data = np.frombuffer(take(4 * n, f"tensor {i} data"), dtype="<f4")
-        tensors.append(data.reshape(dims).astype(np.float32))
+        tensors.append(data.reshape(dims))
     return tensors, off

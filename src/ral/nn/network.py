@@ -5,10 +5,19 @@ three-block extraction trunk whose 3x3 convolutions sandwich a 1x1
 feature-fusion convolution, two 2x2 max-pool downsamplings between blocks,
 a global average pool and a dense softmax head. ``channel_plan`` scales the
 per-block widths so the same structure runs at desk scale or full scale.
+
+A Network keeps all its parameters in one contiguous vector, ``theta``.
+Each layer's ``w`` and ``b`` are reshaped views of consecutive slices of
+it, in ``parameters()`` order, so the training step can check and update
+the whole network in a few numpy calls (``loop._train_epochs``). The rule
+that keeps this true: mutate parameters in place (``layer.w[...] = x``,
+``p -= d``) and never rebind ``layer.w`` or ``layer.b`` of a network's
+layer, since a rebound array is no longer part of ``theta``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -138,7 +147,8 @@ class Network:
     """A NetworkSpec with materialized parameters.
 
     Initialization is fan-in-scaled uniform with a seeded PRNG and zero
-    biases, so identical seeds give bit-identical networks.
+    biases, so identical seeds give bit-identical networks. ``theta`` holds
+    every parameter; see the module docstring for its rule.
     """
 
     def __init__(self, spec: NetworkSpec, seed=0, dtype=np.float32):
@@ -157,8 +167,17 @@ class Network:
             elif ls.kind == "avgpool":
                 layer = GlobalAvgPool()
             else:
-                layer = Dense(int(np.prod(cur)), ls.channels, ls.activation, rng, dtype)
+                layer = Dense(math.prod(cur), ls.channels, ls.activation, rng, dtype)
             self.layers.append(layer)
+        self.theta = np.concatenate([p.reshape(-1) for p in self.parameters()])
+        start = 0
+        for layer in self.layers:
+            if layer.params:
+                w, b = layer.params
+                layer.w = self.theta[start:start + w.size].reshape(w.shape)
+                start += w.size
+                layer.b = self.theta[start:start + b.size]
+                start += b.size
 
     def parameters(self):
         out = []
@@ -228,6 +247,5 @@ class Network:
     def astype(self, dtype):
         """Copy of this network with parameters converted to dtype."""
         clone = Network(self.spec, dtype=dtype)
-        for dst, src in zip(clone.parameters(), self.parameters()):
-            dst[...] = src
+        clone.theta[...] = self.theta
         return clone

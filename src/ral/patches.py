@@ -163,12 +163,19 @@ class TrainingSet:
         return [make_patch_id(self.slide_ids[s], c, r, v)
                 for s, c, r, v in zip(*(a.tolist() for a in columns))]
 
+    def _group_firsts(self):
+        return np.unique(self.group, return_index=True)[1]
+
     def group_ids(self):
         """Id strings (slide/col/row) of the groups, indexed by group number."""
-        first = np.unique(self.group, return_index=True)[1]
+        first = self._group_firsts()
         columns = (self.slide[first], self.col[first], self.row[first])
         return [make_group_id(self.slide_ids[s], c, r)
                 for s, c, r in zip(*(a.tolist() for a in columns))]
+
+    def group_labels(self):
+        """Class names the groups' records carry, indexed by group number."""
+        return [self.class_names[i] for i in self.label[self._group_firsts()].tolist()]
 
 
 class RecordImages:

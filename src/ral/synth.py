@@ -108,12 +108,23 @@ class MislabelOracle:
     def __len__(self):
         return len(self.entries)
 
-    def mislabeled(self, group_ids):
-        """Bool array: is each of ``group_ids`` a mislabeled region."""
+    def mislabeled(self, group_ids, labels=None):
+        """Bool array: is each of ``group_ids`` a mislabeled region.
+
+        With ``labels``, the class name a training set gives each group's
+        records, raises a ValueError at the first group whose assigned
+        label differs, so that no metric counts against the wrong labels.
+        """
         try:
-            return np.array([self.entries[g].mislabeled for g in group_ids], dtype=bool)
+            entries = [self.entries[g] for g in group_ids]
         except KeyError as e:
             raise ValueError(f"unknown group_id {e.args[0]!r} in oracle") from None
+        for e, label in zip(entries, labels or ()):
+            if e.assigned_label != label:
+                raise ValueError(f"oracle gives group {e.group_id!r} assigned_label "
+                                 f"{e.assigned_label!r}, but the training set labels it "
+                                 f"{label!r}")
+        return np.array([e.mislabeled for e in entries], dtype=bool)
 
     def to_json(self):
         return json.dumps([{**asdict(e), "is_mislabeled": e.mislabeled}

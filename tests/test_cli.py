@@ -15,7 +15,7 @@ from ral.experiment import run_experiment
 from ral.imageio import save_image
 from ral.loop import RalConfig
 from ral.nn import Network, build_classifier, save_checkpoint
-from ral.synth import SynthSpec
+from ral.synth import MislabelOracle, SynthSpec
 
 
 def tiny_config(tmp_path, **ral_overrides):
@@ -142,6 +142,27 @@ class TestConfig:
         custom = dict(leaves(NON_DEFAULT_CONFIG))
         assert list(custom) == list(default)
         assert all(custom[k] != default[k] for k in custom)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("learning_rate", -0.01, "learning_rate must be non-negative, got -0.01"),
+        ("beta1", 1.0, "beta1 must be in [0, 1), got 1.0"),
+        ("beta1", -0.1, "beta1 must be in [0, 1), got -0.1"),
+        ("beta2", 1.0, "beta2 must be in [0, 1), got 1.0"),
+        ("beta2", -0.5, "beta2 must be in [0, 1), got -0.5"),
+        ("epsilon", 0.0, "epsilon must be positive, got 0.0"),
+        ("epsilon", -1e-8, "epsilon must be positive, got -1e-08"),
+    ])
+    def test_optimizer_settings_rejected(self, tmp_path, capsys, key, value, message):
+        # no dataset exists: the ral section is checked before any data is read
+        cfg_path, cfg = tiny_config(tmp_path, **{key: value})
+        assert main(["ral", "--config", str(cfg_path)]) == 1
+        assert f"ral: error: {message}\n" in capsys.readouterr().err
+        assert not (Path(cfg["output_dir"]) / "report.json").exists()
+
+    def test_optimizer_bounds_included(self):
+        # a zero learning rate freezes training, and tests rely on it
+        config = RalConfig(learning_rate=0.0, beta1=0.0, beta2=0.0, epsilon=1e-30)
+        assert config.make_optimizer().lr == 0.0
 
     def test_default_config_block_is_pinned(self):
         assert json.dumps(ExperimentConfig().to_dict(), indent=1) == DEFAULT_CONFIG_JSON
@@ -487,6 +508,45 @@ class TestOracleMetrics:
         assert main(["ral", "--config", str(cfg_path)]) == 1
         assert f"unknown group_id '{train_slide}/1/0'" in capsys.readouterr().err
         assert not (Path(cfg["output_dir"]) / "report.json").exists()
+
+    def test_relabelled_assigned_label_fails_before_training(self, tmp_path, capsys,
+                                                             monkeypatch):
+        cfg_path, cfg = tiny_config(tmp_path)
+        main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
+        oracle_path = Path(cfg["dataset_path"]) / "oracle.json"
+        entries = json.loads(oracle_path.read_text())
+        train_slides = {p.stem for p in (Path(cfg["dataset_path"]) / "train").rglob("*.ppm")}
+        entry = next(e for e in entries if e["group_id"].split("/")[0] in train_slides
+                     and e["assigned_label"] == e["true_label"])
+        label = entry["assigned_label"]
+        other = next(e["assigned_label"] for e in entries if e["assigned_label"] != label)
+        entry["assigned_label"] = other
+        oracle_path.write_text(json.dumps(entries))
+
+        steps = []
+        monkeypatch.setattr("ral.nn.Network.loss_and_grads",
+                            lambda *args, **kwargs: steps.append(1))
+        assert main(["ral", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert (f"group {entry['group_id']!r} assigned_label {other!r}, "
+                f"but the training set labels it {label!r}") in err
+        assert steps == []
+        assert not (Path(cfg["output_dir"]) / "report.json").exists()
+
+    def test_unmodified_oracle_passes_the_label_check(self, tmp_path, monkeypatch):
+        cfg_path, cfg = tiny_config(tmp_path)
+        main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
+        checked = []
+        lookup = MislabelOracle.mislabeled
+
+        def recorded(self, group_ids, labels=None):
+            checked.append((len(group_ids), len(labels)))
+            return lookup(self, group_ids, labels)
+
+        monkeypatch.setattr(MislabelOracle, "mislabeled", recorded)
+        assert main(["ral", "--config", str(cfg_path)]) == 0
+        # one label per group: 16 training slides of 2x2 cells
+        assert checked == [(64, 64)]
 
 
 class TestRunExperiment:

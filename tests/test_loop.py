@@ -6,7 +6,7 @@ from ral.loop import (IterationReport, RalConfig, finetune, initial_train,
                       score_training_set)
 from ral.experiment import write_audit
 from ral.metrics import macro_accuracy
-from ral.nn import LayerSpec, Network, NetworkSpec
+from ral.nn import LayerSpec, Network, NetworkSpec, build_classifier
 from ral.patches import SlideImage, TilingSpec, build_training_set
 
 
@@ -274,6 +274,71 @@ class TestFinetune:
         log = finetune(net, ts, config, config.make_optimizer())
         assert len(log) == 3
         assert all(np.isfinite(s.loss) for s in log)
+
+
+def per_tensor_epochs(net, ts, config, epochs):
+    """The training loop as it was before the flat parameter vector: a
+    finiteness check and an Adam step per parameter tensor."""
+    adam = config.make_optimizer()
+    rng = np.random.default_rng(config.seed)
+    for _ in range(epochs):
+        idx = ts.active_indices()
+        order = idx[rng.permutation(len(idx))]
+        for start in range(0, len(order), config.batch_size):
+            take = order[start:start + config.batch_size]
+            loss, grads = net.loss_and_grads(ts.images[take], ts.label[take])
+            assert np.isfinite(loss) and all(np.isfinite(g).all() for g in grads)
+            adam.step(net.parameters(), grads)
+    return adam
+
+
+class TestFlatStep:
+    def test_bitwise_equal_to_per_tensor_steps(self):
+        # desk-shaped: 32x32 records, channel plan 8/16/8, four classes
+        ts = toy_set(n_per_class=2, size=32, classes=("a", "b", "c", "d"))
+        spec = build_classifier(32, (8, 16, 8), classes=4)
+        config = RalConfig(max_epochs=3, target_train_accuracy=1.01, batch_size=8,
+                           learning_rate=3e-3, seed=6)
+        steps = config.max_epochs * (len(ts) // config.batch_size)
+        assert steps >= 20
+
+        ref = Network(spec, seed=1)
+        ref_adam = per_tensor_epochs(ref, ts, config, config.max_epochs)
+        net = Network(spec, seed=1)
+        adam = config.make_optimizer()
+        initial_train(net, ts, config, adam)
+
+        assert adam.t == ref_adam.t == steps
+        for a, b in zip(net.parameters(), ref.parameters()):
+            np.testing.assert_array_equal(a, b)
+        for flat, per_tensor in ((adam.m, ref_adam.m), (adam.v, ref_adam.v)):
+            assert len(flat) == 1
+            np.testing.assert_array_equal(
+                flat[0], np.concatenate([s.reshape(-1) for s in per_tensor]))
+        # the network moved, so the comparison compared something
+        assert not np.array_equal(net.theta, Network(spec, seed=1).theta)
+
+    def test_nan_in_one_layer_gradient_stops_training_at_its_batch(self):
+        ts = toy_set(n_per_class=2)
+        net = Network(build_classifier(8, (2, 4, 2), classes=2), seed=4)
+        layer = net.layers[6]  # a trunk conv between two others
+        backward, calls, seen = layer.backward, [], []
+
+        def nan_on_third_call(dy, cache):
+            dx, (dw, db) = backward(dy, cache)
+            calls.append(1)
+            if len(calls) == 3:
+                seen.append(net.theta.copy())  # the parameters batch 2 ran with
+                dw = dw.copy()
+                dw.flat[1] = np.nan
+            return dx, [dw, db]
+
+        layer.backward = nan_on_third_call
+        config = RalConfig(finetune_epochs=2, learning_rate=0.01, batch_size=4)
+        with pytest.raises(FloatingPointError, match="at epoch 5, batch 2"):
+            finetune(net, ts, config, config.make_optimizer(), epoch_offset=5)
+        np.testing.assert_array_equal(net.theta, seen[0])
+        assert np.isfinite(net.theta).all()
 
 
 class TestRunRal:

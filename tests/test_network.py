@@ -172,6 +172,43 @@ def test_checkpoint_round_trip(tmp_path):
         np.testing.assert_array_equal(a, b)
 
 
+def assert_views_of_theta(net):
+    """Every layer's w and b is its own slice of net.theta, in parameters() order."""
+    params = net.parameters()
+    assert len(params) == 2 * sum(1 for layer in net.layers if layer.params)
+    assert net.theta.ndim == 1 and net.theta.flags.c_contiguous
+    assert net.theta.dtype == net.dtype
+    start = 0
+    for layer in net.layers:
+        for p in layer.params:
+            assert p is layer.w or p is layer.b
+            assert np.shares_memory(p, net.theta) and p.base is net.theta
+            np.testing.assert_array_equal(p.reshape(-1), net.theta[start:start + p.size])
+            start += p.size
+    assert start == net.theta.size
+
+
+def test_parameters_are_views_of_one_vector(tmp_path):
+    net = Network(build_classifier(16, (2, 4, 2)), seed=3)
+    assert_views_of_theta(net)
+    # a write through a layer lands in theta, and one through theta in the layer
+    net.layers[2].w[0, 0, 0, 0] = 5.0
+    net.layers[-1].b[...] = 0.25
+    assert net.theta[net.layers[0].w.size + net.layers[0].b.size] == 5.0
+    net.theta[:3] = -1.0
+    assert (net.layers[0].w.reshape(-1)[:3] == -1.0).all()
+    np.testing.assert_array_equal(net.theta[-net.layers[-1].b.size:], 0.25)
+
+    loaded = load_checkpoint(save_checkpoint(tmp_path / "model.ralw", net))
+    assert_views_of_theta(loaded)
+    np.testing.assert_array_equal(loaded.theta, net.theta)
+
+    wide = net.astype(np.float64)
+    assert_views_of_theta(wide)
+    np.testing.assert_array_equal(wide.theta, net.theta.astype(np.float64))
+    assert not np.shares_memory(wide.theta, net.theta)
+
+
 def test_checkpoint_header_layout(tmp_path):
     import struct
 
