@@ -38,7 +38,7 @@ from .synth import generate, write_dataset
 
 
 # mallopt parameters of glibc's malloc.h
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
 
 
 def keep_freed_memory():
@@ -50,14 +50,19 @@ def keep_freed_memory():
     freed) and unmaps them on free, and returns a free heap top above
     twice that to the OS, so each step faults its working memory back in.
     Fixed thresholds keep blocks up to 32 MiB on the heap and up to 64 MiB
-    of free heap in the process. Does nothing where libc has no mallopt.
+    of free heap in the process. One arena makes the helper thread of a
+    two-lane read-only pass (``Network.predict_proba``) reuse that heap
+    too; an arena of its own would hold a second set of chunk buffers.
+    Does nothing where libc has no mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
         return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt(M_MMAP_THRESHOLD, 32 << 20)
     mallopt(M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(M_ARENA_MAX, 1)
 
 
 class OutputLocked(RuntimeError):

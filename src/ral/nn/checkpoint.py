@@ -44,7 +44,7 @@ def load_checkpoint(path):
     spec = NetworkSpec.from_dict(json.loads(spec_path_for(path).read_text()))
     blob = path.read_bytes()
     tensors, _ = _read_tensors(blob, str(path))
-    net = Network(spec, dtype=np.float32)
+    net = Network._unfilled(spec, np.float32)
     params = net.parameters()
     if len(params) != len(tensors):
         raise ValueError(f"{path}: checkpoint has {len(tensors)} tensors, spec needs {len(params)}")

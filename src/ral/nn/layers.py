@@ -67,6 +67,15 @@ def _relu(z):
     return np.maximum(z, 0)
 
 
+def _init_weights(rng, fan_in, shape, dtype):
+    """Fan-in-scaled uniform weights drawn from ``rng``; without one, zeros
+    for a caller that fills them (``load_checkpoint``)."""
+    if rng is None:
+        return np.zeros(shape, dtype)
+    limit = np.sqrt(6.0 / fan_in)
+    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+
+
 def _grid(shape, p, dtype):
     """Zeroed padded planes for (C, B, H, W) images, flattened, and the view
     of them that holds the pixels.
@@ -121,6 +130,7 @@ class Conv2d:
     preserved, so only pooling layers downsample. With ``input_grad`` off,
     backward returns None for the input gradient and skips its GEMM; a
     network turns it off for its first layer, whose input is the data.
+    Without an ``rng`` the weights start at zero.
     """
 
     def __init__(self, kernel, in_channels, out_channels, activation="relu",
@@ -132,10 +142,8 @@ class Conv2d:
         self.out_channels = out_channels
         self.activation = activation
         self.input_grad = input_grad
-        rng = rng if rng is not None else np.random.default_rng(0)
-        fan_in = kernel * kernel * in_channels
-        limit = np.sqrt(6.0 / fan_in)
-        self.w = rng.uniform(-limit, limit, size=(kernel, kernel, in_channels, out_channels)).astype(dtype)
+        self.w = _init_weights(rng, kernel * kernel * in_channels,
+                               (kernel, kernel, in_channels, out_channels), dtype)
         self.b = np.zeros(out_channels, dtype=dtype)
 
     @property
@@ -266,15 +274,14 @@ class GlobalAvgPool:
 
 class Dense:
     """Fully-connected layer over (B, features) or channel-major (C, B, H, W)
-    input; the latter is flattened in (h, w, c) order."""
+    input; the latter is flattened in (h, w, c) order. Without an ``rng``
+    the weights start at zero."""
 
     def __init__(self, in_features, units, activation="none", rng=None, dtype=np.float32):
         self.in_features = in_features
         self.units = units
         self.activation = activation
-        rng = rng if rng is not None else np.random.default_rng(0)
-        limit = np.sqrt(6.0 / in_features)
-        self.w = rng.uniform(-limit, limit, size=(in_features, units)).astype(dtype)
+        self.w = _init_weights(rng, in_features, (in_features, units), dtype)
         self.b = np.zeros(units, dtype=dtype)
 
     @property

@@ -13,11 +13,18 @@ the whole network in a few numpy calls (``loop._train_epochs``). The rule
 that keeps this true: mutate parameters in place (``layer.w[...] = x``,
 ``p -= d``) and never rebind ``layer.w`` or ``layer.b`` of a network's
 layer, since a rebound array is no longer part of ``theta``.
+
+Read-only passes (``predict_proba``) may run in two lanes: the calling
+thread and one helper thread each forward half of the pass's chunks.
+Layers keep no per-call state and the read-only mode is per thread
+(``layers.training``), so the lanes share the network as it is.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -137,10 +144,29 @@ def build_classifier(input_size, channel_plan=(128, 256, 128), in_channels=3,
 # Index range of the 11-layer extraction trunk inside build_classifier's layout.
 TRUNK_SLICE = slice(2, 13)
 
-# Samples per forward() call in predict_proba, for the scoring pass, a
-# slide's grid and a whole evaluation split alike. Per-record time is flat
-# from 32 to 256 samples, while the patch matrices grow with the chunk.
+# Samples in flight per predict_proba pass, for the scoring pass, a
+# slide's grid and a whole evaluation split alike: one chunk of 64 per
+# forward() call in one lane, or a chunk of 32 in each of two lanes. The
+# chunk size never changes the bytes, since every sample is forwarded on
+# its own arithmetic. Per-record time is flat from 32 to 256 samples,
+# while the patch matrices grow with the chunk.
 PREDICT_CHUNK = 64
+
+# Inputs of at least 32x32 pixels run read-only passes in two lanes when
+# the process may use two CPUs. Below that a chunk is too little work per
+# numpy call: two lanes contend for the GIL and gain nothing at 16x16.
+TWO_LANE_MIN_PIXELS = 32 * 32
+
+# The second lane. Its one thread starts on the first two-lane pass.
+_HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ral-predict")
+
+
+def _cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
 
 
 class Network:
@@ -152,9 +178,18 @@ class Network:
     """
 
     def __init__(self, spec: NetworkSpec, seed=0, dtype=np.float32):
+        self._build(spec, dtype, np.random.default_rng(seed))
+
+    @classmethod
+    def _unfilled(cls, spec, dtype):
+        """A network of zero parameters, for a caller that fills ``theta``."""
+        net = cls.__new__(cls)
+        net._build(spec, dtype, None)
+        return net
+
+    def _build(self, spec, dtype, rng):
         self.spec = spec
         self.dtype = dtype
-        rng = np.random.default_rng(seed)
         in_shapes = [tuple(spec.input)] + spec.validate()[:-1]
         self.layers = []
         for ls, cur in zip(spec.layers, in_shapes):
@@ -215,23 +250,45 @@ class Network:
         """Class probabilities, one row per sample; rows sum to 1."""
         return softmax(self.logits(batch))
 
+    def _lanes(self):
+        """Threads a read-only pass of this network runs in: 1 or 2."""
+        h, w, _ = self.spec.input
+        return 2 if h * w >= TWO_LANE_MIN_PIXELS and _cpus() >= 2 else 1
+
     def predict_proba(self, batch, rows=None):
         """Class probabilities of batch[rows], or of all of batch, for read-only passes.
 
-        forward() runs on PREDICT_CHUNK samples at a time, and only those
-        samples are gathered from batch. The fixed chunk bounds the memory
-        a pass holds at once, and keeps every pass's arithmetic, and so its
-        bytes, independent of the caller's batch size. batch is an array,
-        or anything with a len() that gathers samples into one array when
+        forward() runs on fixed chunks of samples, and only those samples
+        are gathered from batch. The fixed chunks bound the memory a pass
+        holds at once, and keep every pass's arithmetic, and so its bytes,
+        independent of the caller's batch size. batch is an array, or
+        anything with a len() that gathers samples into one array when
         indexed with an index array: ``TrainingSet.images`` for the scoring
         pass, ``slices.SlideCells`` for a slide's grid or all the cells of
-        an evaluation split.
+        an evaluation split. Gathers must be read-only: in two lanes
+        (``_lanes``) the calling thread runs the first half of the chunks
+        while the helper thread runs the second. An exception in either
+        lane reaches the caller once both lanes have stopped.
         """
         rows = np.arange(len(batch)) if rows is None else rows
-        if len(rows) <= PREDICT_CHUNK:
+        lanes = self._lanes()
+        chunk = PREDICT_CHUNK // lanes
+        if len(rows) <= chunk:
             return self.forward(batch[rows])
-        return np.concatenate([self.forward(batch[rows[i:i + PREDICT_CHUNK]])
-                               for i in range(0, len(rows), PREDICT_CHUNK)])
+        starts = range(0, len(rows), chunk)
+
+        def run(part):
+            return [self.forward(batch[rows[i:i + chunk]]) for i in part]
+
+        if lanes == 1:
+            return np.concatenate(run(starts))
+        half = (len(starts) + 1) // 2
+        helper = _HELPER.submit(run, starts[half:])
+        try:
+            mine = run(starts[:half])
+        finally:
+            wait([helper])
+        return np.concatenate(mine + helper.result())
 
     def loss_and_grads(self, batch, labels, with_logits=False):
         """Mean cross-entropy over the batch and gradients for parameters()."""
@@ -246,6 +303,6 @@ class Network:
 
     def astype(self, dtype):
         """Copy of this network with parameters converted to dtype."""
-        clone = Network(self.spec, dtype=dtype)
+        clone = Network._unfilled(self.spec, dtype)
         clone.theta[...] = self.theta
         return clone

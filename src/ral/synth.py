@@ -16,8 +16,11 @@ Regions coincide with the tiling grid (stride must equal the window), so
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,8 +91,7 @@ class SynthSpec:
         return _round_half_up(self.contamination_rho * self.regions_per_slide())
 
 
-@dataclass(frozen=True)
-class OracleEntry:
+class OracleEntry(NamedTuple):
     group_id: str
     assigned_label: str
     true_label: str
@@ -97,6 +99,10 @@ class OracleEntry:
     @property
     def mislabeled(self):
         return self.assigned_label != self.true_label
+
+
+# an oracle.json object's fields, in OracleEntry's order
+_entry_fields = operator.itemgetter(*OracleEntry._fields)
 
 
 class MislabelOracle:
@@ -127,21 +133,35 @@ class MislabelOracle:
         return np.array([e.mislabeled for e in entries], dtype=bool)
 
     def to_json(self):
-        return json.dumps([{**asdict(e), "is_mislabeled": e.mislabeled}
+        return json.dumps([{**e._asdict(), "is_mislabeled": e.mislabeled}
                            for e in self.entries.values()], indent=1)
 
     @staticmethod
     def from_json(text):
-        entries = {}
-        for i, d in enumerate(json.loads(text)):
-            for field in ("group_id", "assigned_label", "true_label"):
-                if not isinstance(d, dict) or field not in d:
-                    raise ValueError(f"oracle entry {i} has no {field!r} field")
-            if d["group_id"] in entries:
-                raise ValueError(f"oracle lists group_id {d['group_id']!r} more than once")
-            entries[d["group_id"]] = OracleEntry(d["group_id"], d["assigned_label"],
-                                                 d["true_label"])
-        return MislabelOracle(entries.values())
+        raw = json.loads(text)
+        try:
+            # a non-object entry or a missing field raises here, a repeated
+            # group_id leaves the oracle shorter than the list
+            oracle = MislabelOracle(map(tuple.__new__, repeat(OracleEntry),
+                                        map(_entry_fields, raw)))
+            if len(oracle) == len(raw):
+                return oracle
+        except (KeyError, TypeError):
+            pass
+        _reject_first_bad_entry(raw)
+
+
+def _reject_first_bad_entry(raw):
+    """Raise a ValueError that names the first entry of a parsed oracle.json
+    list at fault: a non-object, a missing field or a repeated group_id."""
+    seen = set()
+    for i, d in enumerate(raw):
+        for field in OracleEntry._fields:
+            if not isinstance(d, dict) or field not in d:
+                raise ValueError(f"oracle entry {i} has no {field!r} field")
+        if d["group_id"] in seen:
+            raise ValueError(f"oracle lists group_id {d['group_id']!r} more than once")
+        seen.add(d["group_id"])
 
 
 @dataclass

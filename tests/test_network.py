@@ -1,9 +1,14 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from ral.nn import (LayerSpec, Network, NetworkSpec, TRUNK_SLICE,
                     build_classifier, load_checkpoint, save_checkpoint,
                     softmax)
+from ral.nn import network
 from ral.nn.network import PREDICT_CHUNK
 
 FULL_SCALE_TRUNK = [
@@ -172,6 +177,19 @@ def test_checkpoint_round_trip(tmp_path):
         np.testing.assert_array_equal(a, b)
 
 
+def test_loading_draws_no_initialization(tmp_path, monkeypatch):
+    # load_checkpoint and astype overwrite every parameter, so they draw none
+    net = Network(build_classifier(8, (2, 4, 2)), seed=20)
+    path = save_checkpoint(tmp_path / "model.ralw", net)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew a seeded initialization")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    assert load_checkpoint(path).theta.tobytes() == net.theta.tobytes()
+    np.testing.assert_array_equal(net.astype(np.float64).theta, net.theta)
+
+
 def assert_views_of_theta(net):
     """Every layer's w and b is its own slice of net.theta, in parameters() order."""
     params = net.parameters()
@@ -246,19 +264,112 @@ def test_truncated_checkpoint_reports_missing_bytes(tmp_path):
         load_checkpoint(path)
 
 
-def test_predict_proba_matches_training_forward_bytes():
+class Gathers:
+    """An array that logs the thread of each gather; ``fail_in`` names a
+    thread whose first gather raises, ``delay`` slows the others."""
+
+    def __init__(self, x, fail_in=None, delay=0.0):
+        self.x, self.fail_in, self.delay = x, fail_in, delay
+        self.threads, self.done, self.running = [], [], 0
+        self.lock = threading.Lock()
+
+    def __len__(self):
+        return len(self.x)
+
+    def __getitem__(self, rows):
+        me = threading.get_ident()
+        with self.lock:
+            self.threads.append(me)
+            self.running += 1
+        try:
+            if me == self.fail_in:
+                raise RuntimeError("gather failed")
+            time.sleep(self.delay)
+            return self.x[rows]
+        finally:
+            with self.lock:
+                self.running -= 1
+                self.done.append(me)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # two lanes need two CPUs; give every host two, so both paths run
+    monkeypatch.setattr(network, "_cpus", lambda: 2)
+
+
+@pytest.mark.parametrize("size, lanes", [(16, 1), (32, 2)], ids=["16x16", "32x32"])
+def test_predict_proba_matches_training_forward_bytes(two_cpus, size, lanes):
     # the read-only path builds no caches but must compute the same bytes as
-    # the training path, chunk by chunk, across several chunks
-    net = Network(build_classifier(16, (2, 4, 2)), seed=12)
+    # the training path, chunk by chunk, across several chunks, in one lane
+    # below 32x32 and in two lanes of smaller chunks from 32x32
+    net = Network(build_classifier(size, (2, 4, 2)), seed=12)
     rng = np.random.default_rng(13)
-    x = rng.random((2 * PREDICT_CHUNK + 7, 16, 16, 3), dtype=np.float32)
+    x = rng.random((2 * PREDICT_CHUNK + 7, size, size, 3), dtype=np.float32)
     expected = np.concatenate([softmax(net.logits(x[i:i + PREDICT_CHUNK], keep_caches=True)[0])
                                for i in range(0, len(x), PREDICT_CHUNK)])
-    got = net.predict_proba(x)
+    batch = Gathers(x)
+    got = net.predict_proba(batch)
+    assert len(set(batch.threads)) == lanes
     assert got.dtype == expected.dtype
     np.testing.assert_array_equal(got, expected)
     rows = np.arange(len(x))[::-3]
     np.testing.assert_array_equal(net.predict_proba(x, rows), net.predict_proba(x[rows]))
+
+
+def test_one_lane_gives_the_bytes_of_two(monkeypatch):
+    net = Network(build_classifier(32, (2, 4, 2)), seed=16)
+    x = np.random.default_rng(17).random((3 * PREDICT_CHUNK + 5, 32, 32, 3), dtype=np.float32)
+    rows = np.random.default_rng(18).permutation(len(x))[:2 * PREDICT_CHUNK + 9]
+    got = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(network, "_cpus", lambda: cpus)
+        batch = Gathers(x)
+        got[cpus] = net.predict_proba(batch, rows)
+        assert len(set(batch.threads)) == cpus
+    np.testing.assert_array_equal(got[1], got[2])
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_lane_exception_reaches_caller_after_both_lanes_stop(two_cpus, failing):
+    net = Network(build_classifier(32, (2, 4, 2)), seed=19)
+    x = np.zeros((6 * (PREDICT_CHUNK // 2), 32, 32, 3), np.float32)  # 3 chunks a lane
+    caller = threading.get_ident()
+    helper = network._HELPER.submit(threading.get_ident).result(timeout=10)
+    fail_in, other = (helper, caller) if failing == "helper" else (caller, helper)
+    batch = Gathers(x, fail_in=fail_in, delay=0.02)  # the other lane is still busy
+    with pytest.raises(RuntimeError, match="gather failed"):
+        net.predict_proba(batch)
+    assert batch.running == 0
+    assert batch.done.count(other) == 3
+    assert batch.done.count(fail_in) == 1
+
+
+def test_concurrent_passes_share_one_helper(two_cpus):
+    # more callers than CPUs, each splitting its pass with the one helper
+    net = Network(build_classifier(32, (2, 4, 2)), seed=21)
+    xs = [np.random.default_rng(22 + i).random((PREDICT_CHUNK + 9, 32, 32, 3),
+                                               dtype=np.float32) for i in range(4)]
+    expected = [net.predict_proba(x) for x in xs]
+    got = [None] * len(xs)
+
+    def call(i):
+        for _ in range(3):
+            got[i] = net.predict_proba(xs[i])
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(xs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    for g, e in zip(got, expected):
+        np.testing.assert_array_equal(g, e)
 
 
 def test_read_only_passes_build_no_caches():

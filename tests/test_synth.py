@@ -223,3 +223,22 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=re.escape(
                 f"group_id {first['group_id']!r} more than once")):
             load_dataset(root)
+
+
+@pytest.mark.parametrize("first", ["duplicate", "missing"])
+def test_oracle_reports_its_first_bad_entry(first):
+    entries = [{"group_id": f"s/{i}/0", "assigned_label": "A", "true_label": "A"}
+               for i in range(12)]
+    dup, missing = (5, 9) if first == "duplicate" else (9, 5)
+    entries[dup] = dict(entries[0])
+    del entries[missing]["true_label"]
+    message = ("group_id 's/0/0' more than once" if first == "duplicate"
+               else f"oracle entry {missing} has no 'true_label' field")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MislabelOracle.from_json(json.dumps(entries))
+    entries[missing]["true_label"] = "B"
+    entries[dup]["group_id"] = "s/99/0"
+    oracle = MislabelOracle.from_json(json.dumps(entries))
+    assert list(oracle.entries) == [e["group_id"] for e in entries]
+    fixed = entries[missing]
+    assert oracle.entries[fixed["group_id"]] == OracleEntry(fixed["group_id"], "A", "B")
