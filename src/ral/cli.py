@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .config import ExperimentConfig
@@ -31,8 +31,7 @@ from .experiment import build_network_for, run_experiment
 from .imageio import load_image, save_image
 from .loop import initial_train
 from .nn import load_checkpoint, save_checkpoint
-from .patches import (VARIANTS, SlideImage, TilingSpec, build_manifest, build_training_set,
-                      manifest_to_dicts)
+from .patches import VARIANTS, SlideImage, build_manifest, build_training_set, manifest_to_dicts
 from .slices import evaluate_slides, predict_slide, render_class_map
 from .synth import generate, write_dataset
 
@@ -128,8 +127,7 @@ def cmd_tile(args):
     config, out = _resolve(args)
     train_slides, val_slides, class_names, _ = load_dataset(
         _dataset_path(config), config.val_fraction, config.seed)
-    tiling = TilingSpec(config.tiling.window, config.tiling.stride)
-    manifest = build_manifest(train_slides, tiling, class_names)
+    manifest = build_manifest(train_slides, config.tiling, class_names)
     with output_lock(out):
         (out / "manifest.json").write_text(
             json.dumps(manifest_to_dicts(manifest), indent=1) + "\n")
@@ -143,11 +141,10 @@ def cmd_train(args):
     config, out = _resolve(args)
     train_slides, _, class_names, _ = load_dataset(
         _dataset_path(config), config.val_fraction, config.seed)
-    tiling = TilingSpec(config.tiling.window, config.tiling.stride)
-    ts = build_training_set(train_slides, tiling, class_names)
+    ts = build_training_set(train_slides, config.tiling, class_names)
     net = build_network_for(config, class_names, train_slides[0].pixels.shape[2])
     with output_lock(out):
-        log = initial_train(net, ts, config.ral.build(config.seed))
+        log = initial_train(net, ts, replace(config.ral, seed=config.seed))
         save_checkpoint(out / "checkpoint.ralw", net)
         (out / "train_log.json").write_text(
             json.dumps([asdict(s) for s in log], indent=1) + "\n")

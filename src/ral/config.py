@@ -1,9 +1,18 @@
 """Experiment configuration: a JSON file with a fixed, typo-safe schema.
 
-Unknown keys are rejected at every level. The single top-level ``seed``
-drives everything downstream (data generation, the train/val split, weight
-initialization, batch shuffling), so one config + one seed pins a whole
-run. The resolved configuration is embedded verbatim in every report.
+Unknown keys are rejected at every level, and so is a section that is not
+a JSON object or a list-valued key that is not a list. The single
+top-level ``seed`` drives everything downstream (data generation, the
+train/val split, weight initialization, batch shuffling), so one config +
+one seed pins a whole run. The resolved configuration is embedded
+verbatim in every report.
+
+The ``tiling`` and ``ral`` sections are the library's own classes,
+``patches.TilingSpec`` and ``loop.RalConfig``: each setting is declared
+once, with one default, and checked when the config loads. ``network``
+and ``synthetic`` are sections of their own: a network is built from its
+section, the window and the class count, and ``synth.SynthSpec`` carries
+a seed and derived texture parameters, neither of which is a config key.
 """
 
 from __future__ import annotations
@@ -13,50 +22,39 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .loop import RalConfig
+from .patches import TilingSpec
 from .synth import SynthSpec
+
+
+def _object(d, section):
+    if not isinstance(d, dict):
+        raise ValueError(f"{section} config must be a JSON object, got {json.dumps(d)}")
+    return d
 
 
 def _take(d, section, cls):
     """``cls(**d)``, rejecting keys that are not fields of ``cls``; a JSON
-    list becomes a tuple where the field's default is a tuple."""
+    list becomes a tuple where the field's default is a tuple, and any
+    other value there is rejected."""
     by_name = {f.name: f for f in fields(cls)}
-    unknown = set(d) - set(by_name)
+    unknown = set(_object(d, section)) - set(by_name)
     if unknown:
         raise ValueError(f"unknown {section} config keys: {sorted(unknown)}")
-    return cls(**{k: tuple(v) if isinstance(by_name[k].default, tuple) else v
-                  for k, v in d.items()})
-
-
-@dataclass
-class TilingSection:
-    window: int = 32
-    stride: int = 32
+    kwargs = {}
+    for k, v in d.items():
+        if isinstance(by_name[k].default, tuple):
+            if not isinstance(v, (list, tuple)):
+                raise ValueError(f"{section} config key {k!r} must be a list, "
+                                 f"got {json.dumps(v)}")
+            v = tuple(v)
+        kwargs[k] = v
+    return cls(**kwargs)
 
 
 @dataclass
 class NetworkSection:
     channel_plan: tuple = (8, 16, 8)
     stem_channels: int | None = None
-
-
-@dataclass
-class RalSection:
-    tau: float = 0.5
-    group_threshold: int = 4
-    iterations: int = 3
-    max_epochs: int = 6
-    target_train_accuracy: float = 1.01  # disabled: fixed epoch budgets by default
-    finetune_epochs: int = 2
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    confidence_mode: str = "label"
-    fresh_optimizer: bool = False
-
-    def build(self, seed):
-        return RalConfig(seed=seed, **asdict(self))
 
 
 @dataclass
@@ -81,14 +79,15 @@ class ExperimentConfig:
     dataset_path: str | None = None
     output_dir: str = "out"
     val_fraction: float = 0.2  # train/val split for flat dataset layouts
-    tiling: TilingSection = field(default_factory=TilingSection)
+    tiling: TilingSpec = field(default_factory=TilingSpec)
     network: NetworkSection = field(default_factory=NetworkSection)
-    ral: RalSection = field(default_factory=RalSection)
+    ral: RalConfig = field(default_factory=RalConfig)
     synthetic: SyntheticSection = field(default_factory=SyntheticSection)
 
     @staticmethod
     def from_dict(d):
         # the sections are the fields built by a default_factory
+        d = _object(d, "experiment")
         sections = {f.name: _take(d.get(f.name, {}), f.name, f.default_factory)
                     for f in fields(ExperimentConfig) if f.default_factory is not MISSING}
         cfg = _take({**d, **sections}, "experiment", ExperimentConfig)

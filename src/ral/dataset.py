@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from .imageio import load_image
-from .patches import SlideImage
-from .synth import MislabelOracle, _round_half_up
+from .patches import SlideImage, split_slides
+from .synth import MislabelOracle
 
 IMAGE_SUFFIXES = (".ppm", ".pgm", ".ralt")
 
@@ -36,25 +34,6 @@ def _load_class_dirs(root):
         for f in files:
             slides.append(SlideImage(f.stem, cname, load_image(f)))
     return slides, class_names
-
-
-def split_slides(slides, val_fraction, seed):
-    """Seeded stratified split by slide: all patches of a slide share its
-    side of the split, so patch-level leakage is impossible."""
-    by_class = {}
-    for s in slides:
-        by_class.setdefault(s.class_label, []).append(s)
-    rng = np.random.default_rng((seed, 0xA11))
-    train, val = [], []
-    for cname in sorted(by_class):
-        group = sorted(by_class[cname], key=lambda s: s.slide_id)
-        n_val = _round_half_up(val_fraction * len(group))
-        if n_val >= len(group):
-            raise ValueError(f"class {cname}: validation fraction leaves no training slides")
-        val_idx = set(rng.choice(len(group), size=n_val, replace=False).tolist())
-        for i, s in enumerate(group):
-            (val if i in val_idx else train).append(s)
-    return train, val
 
 
 def require_splits(train, val):

@@ -16,14 +16,14 @@ artifact byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .config import ExperimentConfig
 from .dataset import load_dataset, require_splits
 from .loop import run_ral
 from .nn import Network, build_classifier, save_checkpoint
-from .patches import TilingSpec, build_training_set
+from .patches import build_training_set
 from .slices import evaluate_slides
 from .synth import oracle_eval
 
@@ -68,14 +68,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None, write=True):
     """Run the full refinement experiment described by the config."""
     if config.dataset_path is None:
         raise ValueError("config.dataset_path is required for this command")
-    ral_config = config.ral.build(config.seed)  # validated before any data is read
+    ral_config = replace(config.ral, seed=config.seed)
     out = Path(out_dir if out_dir is not None else config.output_dir)
     train_slides, val_slides, class_names, oracle = load_dataset(
         config.dataset_path, config.val_fraction, config.seed)
     require_splits(train_slides, val_slides)
 
-    tiling = TilingSpec(config.tiling.window, config.tiling.stride)
-    ts = build_training_set(train_slides, tiling, class_names)
+    ts = build_training_set(train_slides, config.tiling, class_names)
     # looked up before training, so that an oracle that lacks a group, or
     # disagrees with the training set's labels, fails first
     mislabeled = (None if oracle is None else

@@ -11,7 +11,7 @@ times, with full bookkeeping so every removal can be audited.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 
 import numpy as np
 
@@ -22,22 +22,29 @@ from .patches import TrainingSet, VARIANTS
 
 @dataclass
 class RalConfig:
+    """The refinement settings: the config file's ``ral`` section.
+
+    ``seed`` (batch shuffling) is an argument, not a setting: a run takes
+    it from the config's top-level seed, so it is no field, no config key
+    and no part of the resolved config in ``report.json``.
+    """
     tau: float = 0.5                    # records with label confidence < tau go
     group_threshold: int = 4            # strictly more than this many removals kills a group
     iterations: int = 3                 # K refinement rounds
-    max_epochs: int = 18
-    target_train_accuracy: float = 0.98  # early stop for the initial fit; >1 disables
-    finetune_epochs: int = 5
+    max_epochs: int = 6
+    target_train_accuracy: float = 1.01  # early stop for the initial fit; >1 disables
+    finetune_epochs: int = 2
     batch_size: int = 64
-    learning_rate: float = 1e-4
+    learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     confidence_mode: str = "label"      # "label" (own-label probability) or "max"
     fresh_optimizer: bool = False       # reset Adam state at each refinement round
-    seed: int = 0
+    seed: InitVar[int] = 0
 
-    def __post_init__(self):
+    def __post_init__(self, seed):
+        self.seed = seed  # kept, so that dataclasses.replace keeps it too
         if not 0.0 <= self.tau < 1.0:
             raise ValueError(f"tau must be in [0, 1), got {self.tau}")
         if not 0 <= self.group_threshold <= VARIANTS:

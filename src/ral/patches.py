@@ -20,8 +20,9 @@ VARIANTS = 8
 
 @dataclass(frozen=True)
 class TilingSpec:
-    window: int
-    stride: int
+    """The training-set tiling: the config file's ``tiling`` section."""
+    window: int = 32
+    stride: int = 32
 
     def __post_init__(self):
         if self.window <= 0 or self.stride <= 0:
@@ -43,6 +44,29 @@ class SlideImage:
     @property
     def width(self):
         return self.pixels.shape[1]
+
+
+def _round_half_up(x):
+    return int(np.floor(x + 0.5))
+
+
+def split_slides(slides, val_fraction, seed):
+    """Seeded stratified split by slide: all patches of a slide share its
+    side of the split, so patch-level leakage is impossible."""
+    by_class = {}
+    for s in slides:
+        by_class.setdefault(s.class_label, []).append(s)
+    rng = np.random.default_rng((seed, 0xA11))
+    train, val = [], []
+    for cname in sorted(by_class):
+        group = sorted(by_class[cname], key=lambda s: s.slide_id)
+        n_val = _round_half_up(val_fraction * len(group))
+        if n_val >= len(group):
+            raise ValueError(f"class {cname}: validation fraction leaves no training slides")
+        val_idx = set(rng.choice(len(group), size=n_val, replace=False).tolist())
+        for i, s in enumerate(group):
+            (val if i in val_idx else train).append(s)
+    return train, val
 
 
 @dataclass(frozen=True)

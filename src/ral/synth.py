@@ -25,17 +25,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .imageio import save_image
-from .patches import SlideImage, make_group_id
+from .patches import SlideImage, _round_half_up, make_group_id, split_slides
 
 DEFAULT_CLASS_NAMES = ("Normal", "Benign", "InSitu", "Invasive")
 
 # (cycles per window, orientation degrees): frequencies spaced by factor 2
 # so classes stay separable under any rotation/flip of the patch.
 DEFAULT_TEXTURES = ((1.5, 0.0), (3.0, 30.0), (6.0, 60.0), (12.0, 90.0))
-
-
-def _round_half_up(x):
-    return int(np.floor(x + 0.5))
 
 
 @dataclass
@@ -81,7 +77,7 @@ class SynthSpec:
         # so class indices agree between generation and reload
         if self.classes == len(DEFAULT_CLASS_NAMES):
             return sorted(DEFAULT_CLASS_NAMES)
-        return [f"class{i}" for i in range(self.classes)]
+        return sorted(f"class{i}" for i in range(self.classes))
 
     def regions_per_slide(self):
         h, w = self.slide_size
@@ -211,27 +207,16 @@ def _generate_slide(spec: SynthSpec, class_idx, slide_idx, class_names):
 
 
 def generate(spec: SynthSpec):
-    """Build all slides, the 80:20-style stratified split, and the oracle."""
+    """Build all slides, their train/val split and the oracle. The split is
+    ``split_slides``, the one a flat dataset directory gets on load."""
     class_names = spec.class_names()
-    all_entries = []
-    per_class_slides = []
+    slides, all_entries = [], []
     for ci in range(spec.classes):
-        slides = []
         for si in range(spec.slides_per_class):
             slide, entries = _generate_slide(spec, ci, si, class_names)
             slides.append(slide)
             all_entries.extend(entries)
-        per_class_slides.append(slides)
-
-    n_val = _round_half_up(spec.val_fraction * spec.slides_per_class)
-    if n_val >= spec.slides_per_class:
-        raise ValueError("validation fraction leaves no training slides")
-    split_rng = np.random.default_rng((spec.seed, 0xA11))
-    train_slides, val_slides = [], []
-    for slides in per_class_slides:
-        val_idx = set(split_rng.choice(len(slides), size=n_val, replace=False).tolist())
-        for i, s in enumerate(slides):
-            (val_slides if i in val_idx else train_slides).append(s)
+    train_slides, val_slides = split_slides(slides, spec.val_fraction, spec.seed)
     return SynthDataset(spec, class_names, train_slides, val_slides,
                         MislabelOracle(all_entries))
 

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from ral.cli import main, output_lock
-from ral.config import ExperimentConfig, RalSection, SyntheticSection
+from ral.config import ExperimentConfig, SyntheticSection
 from ral.experiment import run_experiment
 from ral.imageio import save_image
 from ral.loop import RalConfig
 from ral.nn import Network, build_classifier, save_checkpoint
+from ral.patches import TilingSpec
 from ral.synth import MislabelOracle, SynthSpec
 
 
@@ -153,7 +154,7 @@ class TestConfig:
         ("epsilon", -1e-8, "epsilon must be positive, got -1e-08"),
     ])
     def test_optimizer_settings_rejected(self, tmp_path, capsys, key, value, message):
-        # no dataset exists: the ral section is checked before any data is read
+        # no dataset exists: the ral section is checked when the config loads
         cfg_path, cfg = tiny_config(tmp_path, **{key: value})
         assert main(["ral", "--config", str(cfg_path)]) == 1
         assert f"ral: error: {message}\n" in capsys.readouterr().err
@@ -169,6 +170,9 @@ class TestConfig:
 
     def test_window_must_fit_network_pools(self):
         with pytest.raises(ValueError, match="divisible by 8"):
+            ExperimentConfig.from_dict({"tiling": {"window": 20, "stride": 20}})
+        # the default stride of 32 trips TilingSpec's own check first
+        with pytest.raises(ValueError, match="stride 32 exceeds window 20"):
             ExperimentConfig.from_dict({"tiling": {"window": 20}})
 
     def test_sections_mirror_the_configs_they_build(self):
@@ -176,9 +180,41 @@ class TestConfig:
         def names(cls):
             return [f.name for f in dataclasses.fields(cls)]
 
-        assert names(RalSection) == [n for n in names(RalConfig) if n != "seed"]
         assert names(SyntheticSection) == [
             n for n in names(SynthSpec) if n not in ("seed", "texture_params")]
+
+    def test_sections_are_the_library_classes(self):
+        config = ExperimentConfig.from_dict({"tiling": {"stride": 16}, "ral": {"tau": 0.2}})
+        assert config.tiling == TilingSpec(32, 16)
+        assert config.ral == RalConfig(tau=0.2)
+
+    def test_seed_is_no_ral_setting(self):
+        with pytest.raises(ValueError, match=r"unknown ral config keys: \['seed'\]"):
+            ExperimentConfig.from_dict({"ral": {"seed": 3}})
+        assert "seed" not in ExperimentConfig().to_dict()["ral"]
+
+    def test_ral_settings_checked_at_load(self):
+        with pytest.raises(ValueError, match=r"tau must be in \[0, 1\), got 1.5"):
+            ExperimentConfig.from_dict({"ral": {"tau": 1.5}})
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"ral": null}', "ral config must be a JSON object, got null"),
+        ('[]', "experiment config must be a JSON object, got []"),
+        ('{"tiling": 32}', "tiling config must be a JSON object, got 32"),
+        ('{"network": {"channel_plan": 8}}',
+         "network config key 'channel_plan' must be a list, got 8"),
+        ('{"synthetic": {"slide_size": "64"}}',
+         "synthetic config key 'slide_size' must be a list, got \"64\""),
+    ], ids=["null-section", "list-top-level", "number-section", "number-plan",
+            "string-size"])
+    def test_malformed_config_names_its_section(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert main(["generate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "data")]) == 1
+        assert f"ral: error: {message}\n" in capsys.readouterr().err
+        # the config fails to load, so only the error log goes to --out
+        assert [p.name for p in (tmp_path / "data").iterdir()] == ["error.log"]
 
 
 class TestCommands:
@@ -561,3 +597,22 @@ class TestRunExperiment:
         assert report["status"] == "empty_refined_set"
         assert report["iterations"][-1]["active_after"] == 0
         assert report["iterations"][-1]["train_patch_acc"] is None
+
+    def test_trains_with_the_top_level_seed(self, tmp_path, monkeypatch):
+        import ral.experiment
+
+        cfg_path, cfg = tiny_config(tmp_path, iterations=0, max_epochs=1)
+        main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
+        seen = []
+        real_run_ral = ral.experiment.run_ral
+
+        def recorded(net, ts, config, evaluator):
+            seen.append(config)
+            return real_run_ral(net, ts, config, evaluator)
+
+        monkeypatch.setattr(ral.experiment, "run_ral", recorded)
+        config = ExperimentConfig.load(cfg_path)
+        run_experiment(config, write=False)
+        assert [c.seed for c in seen] == [cfg["seed"]]
+        assert dataclasses.asdict(seen[0]) == dataclasses.asdict(config.ral)
+        assert config.ral.seed == 0  # the config itself is left as it was

@@ -1,3 +1,5 @@
+from dataclasses import asdict, fields, replace
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,14 @@ class TestConfig:
     def test_group_threshold_bounds(self):
         with pytest.raises(ValueError):
             RalConfig(group_threshold=9)
+
+    def test_seed_is_an_argument_not_a_setting(self):
+        config = RalConfig(seed=5)
+        assert config.seed == 5
+        assert replace(config, tau=0.1).seed == 5
+        assert replace(config, seed=6).seed == 6
+        assert "seed" not in asdict(config)
+        assert "seed" not in [f.name for f in fields(RalConfig)]
 
 
 class TestInitialTrain:

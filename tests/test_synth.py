@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ral.dataset import load_dataset
+from ral.imageio import save_image
 from ral.patches import TilingSpec, build_training_set, tile
 from ral.synth import (MislabelOracle, OracleEntry, SynthSpec, generate,
                        oracle_eval, write_dataset)
@@ -90,6 +91,28 @@ class TestGenerate:
         ds = generate(small_spec())
         for gid, entry in ds.oracle.entries.items():
             assert entry.assigned_label == gid.split("/")[0].rsplit("_", 1)[0]
+
+    def test_eleven_classes_reload_with_the_same_names_and_split(self, tmp_path):
+        # class10 sorts before class2: the names and the split must follow
+        # the order in which a dataset directory's classes are listed
+        spec = small_spec(classes=11, slide_size=(16, 16), slides_per_class=5)
+        ds = generate(spec)
+        assert ds.class_names == sorted(ds.class_names)
+
+        def ids(slides):
+            return [(s.class_label, s.slide_id) for s in slides]
+
+        train, val, class_names, _ = load_dataset(write_dataset(ds, tmp_path / "split"))
+        assert class_names == ds.class_names
+        assert ids(train) == ids(ds.train_slides) and ids(val) == ids(ds.val_slides)
+        # a flat directory of the same slides is split on load the same way
+        flat = tmp_path / "flat"
+        for s in ds.train_slides + ds.val_slides:
+            (flat / s.class_label).mkdir(parents=True, exist_ok=True)
+            save_image(flat / s.class_label / f"{s.slide_id}.ppm", s.pixels)
+        train, val, class_names, _ = load_dataset(flat, spec.val_fraction, spec.seed)
+        assert class_names == ds.class_names
+        assert ids(train) == ids(ds.train_slides) and ids(val) == ids(ds.val_slides)
 
     def test_mislabeled_fraction_near_rho(self):
         spec = SynthSpec(slides_per_class=6, contamination_rho=0.1, seed=5)
