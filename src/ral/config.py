@@ -7,12 +7,13 @@ train/val split, weight initialization, batch shuffling), so one config +
 one seed pins a whole run. The resolved configuration is embedded
 verbatim in every report.
 
-The ``tiling`` and ``ral`` sections are the library's own classes,
-``patches.TilingSpec`` and ``loop.RalConfig``: each setting is declared
-once, with one default, and checked when the config loads. ``network``
-and ``synthetic`` are sections of their own: a network is built from its
-section, the window and the class count, and ``synth.SynthSpec`` carries
-a seed and derived texture parameters, neither of which is a config key.
+The ``tiling``, ``ral`` and ``synthetic`` sections are the library's own
+``patches.TilingSpec``, ``loop.RalConfig`` and ``synth.SynthSpec``: each
+setting is declared once, with one default, and checked when the config
+loads; ``RalConfig`` and ``SynthSpec`` take the top-level seed. ``network``
+is a section of its own: a network is built from it, the window and the
+class count, and the load builds one to check that the section fits the
+window.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .loop import RalConfig
+from .nn import build_classifier
 from .patches import TilingSpec
 from .synth import SynthSpec
 
@@ -58,22 +60,6 @@ class NetworkSection:
 
 
 @dataclass
-class SyntheticSection:
-    classes: int = 4
-    slide_size: tuple = (128, 128)
-    window: int = 32
-    stride: int = 32
-    slides_per_class: int = 10
-    contamination_rho: float = 0.1
-    noise_sigma: float = 0.05
-    texture_amplitude: float = 0.25
-    val_fraction: float = 0.2
-
-    def build(self, seed):
-        return SynthSpec(seed=seed, **asdict(self))
-
-
-@dataclass
 class ExperimentConfig:
     seed: int = 0
     dataset_path: str | None = None
@@ -82,7 +68,7 @@ class ExperimentConfig:
     tiling: TilingSpec = field(default_factory=TilingSpec)
     network: NetworkSection = field(default_factory=NetworkSection)
     ral: RalConfig = field(default_factory=RalConfig)
-    synthetic: SyntheticSection = field(default_factory=SyntheticSection)
+    synthetic: SynthSpec = field(default_factory=SynthSpec)
 
     @staticmethod
     def from_dict(d):
@@ -91,8 +77,8 @@ class ExperimentConfig:
         sections = {f.name: _take(d.get(f.name, {}), f.name, f.default_factory)
                     for f in fields(ExperimentConfig) if f.default_factory is not MISSING}
         cfg = _take({**d, **sections}, "experiment", ExperimentConfig)
-        if cfg.tiling.window % 8 != 0:
-            raise ValueError("tiling window must be divisible by 8 (network pools)")
+        build_classifier(cfg.tiling.window, cfg.network.channel_plan,
+                         stem_channels=cfg.network.stem_channels)
         if not 0.0 < cfg.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in (0, 1), got {cfg.val_fraction}")
         return cfg

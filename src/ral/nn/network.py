@@ -125,6 +125,9 @@ def build_classifier(input_size, channel_plan=(128, 256, 128), in_channels=3,
         raise ValueError("channel_plan must have three block widths")
     c1, c2, c3 = channel_plan
     stem = stem_channels if stem_channels is not None else c1
+    if not all(isinstance(c, int) and c > 0 for c in (stem, c1, c2, c3)):
+        raise ValueError(f"channel widths must be positive integers, got channel_plan "
+                         f"{list(channel_plan)} and stem_channels {stem_channels}")
     conv = lambda k, c: LayerSpec("conv", k, c, "relu")
     pool = LayerSpec("maxpool", 2)
     layers = (

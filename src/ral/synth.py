@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import InitVar, asdict, dataclass, replace
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -36,6 +36,11 @@ DEFAULT_TEXTURES = ((1.5, 0.0), (3.0, 30.0), (6.0, 60.0), (12.0, 90.0))
 
 @dataclass
 class SynthSpec:
+    """The generator settings: the config file's ``synthetic`` section.
+
+    ``seed``, an argument that ``build`` takes from the config's top level,
+    and ``texture_params``, derived from ``classes``, are no fields: no
+    config keys and no part of the resolved config in ``report.json``."""
     classes: int = 4
     slide_size: tuple = (128, 128)   # (H, W)
     window: int = 32
@@ -44,11 +49,15 @@ class SynthSpec:
     contamination_rho: float = 0.1   # fraction of regions per slide mislabeled
     noise_sigma: float = 0.05
     texture_amplitude: float = 0.25
-    texture_params: tuple = None     # per-class (frequency, orientation)
     val_fraction: float = 0.2
-    seed: int = 0
+    seed: InitVar[int] = 0
 
-    def __post_init__(self):
+    def __post_init__(self, seed):
+        self.seed = seed  # kept, so that dataclasses.replace keeps it too
+        for name in ("classes", "window", "slides_per_class"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value > 0):
+                raise ValueError(f"generator {name} must be a positive integer, got {value}")
         if self.stride != self.window:
             raise ValueError(
                 f"generator stride ({self.stride}) must equal the window "
@@ -59,18 +68,28 @@ class SynthSpec:
             raise ValueError(f"slide size {w}x{h} not divisible by window {self.window}")
         if not 0.0 <= self.contamination_rho < 1.0:
             raise ValueError(f"contamination_rho must be in [0, 1), got {self.contamination_rho}")
-        if self.texture_params is None:
-            if self.classes <= len(DEFAULT_TEXTURES):
-                self.texture_params = DEFAULT_TEXTURES[:self.classes]
-            else:
-                self.texture_params = tuple(
-                    (1.5 * 2 ** (i * 3.0 / self.classes), (180.0 * i) / self.classes)
-                    for i in range(self.classes))
-        if len(self.texture_params) != self.classes:
-            raise ValueError("need one (frequency, orientation) pair per class")
-        freqs = [f for f, _ in self.texture_params]
-        if len(set(freqs)) != len(freqs):
-            raise ValueError("class texture frequencies must be pairwise distinct")
+        if not self.noise_sigma >= 0.0:
+            raise ValueError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
+        if self.classes == 1 and self.contaminated_per_slide():
+            raise ValueError(f"contamination_rho {self.contamination_rho} needs a second "
+                             f"class to paint mislabeled regions with, got classes 1")
+        # an empty validation split is allowed here; runs reject it on load
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError(f"generator val_fraction must be in [0, 1), got {self.val_fraction}")
+        if _round_half_up(self.val_fraction * self.slides_per_class) >= self.slides_per_class:
+            raise ValueError(f"generator val_fraction {self.val_fraction} leaves no training "
+                             f"slide of {self.slides_per_class} per class")
+
+    def build(self, seed):
+        return replace(self, seed=seed)
+
+    @property
+    def texture_params(self):
+        """Per-class (frequency, orientation): pairwise distinct frequencies."""
+        if self.classes <= len(DEFAULT_TEXTURES):
+            return DEFAULT_TEXTURES[:self.classes]
+        return tuple((1.5 * 2 ** (i * 3.0 / self.classes), (180.0 * i) / self.classes)
+                     for i in range(self.classes))
 
     def class_names(self):
         # lexicographic, matching how dataset directories are enumerated,
@@ -260,5 +279,9 @@ def write_dataset(dataset: SynthDataset, out_dir):
             d.mkdir(parents=True, exist_ok=True)
             save_image(d / f"{slide.slide_id}.ppm", slide.pixels)
     (out / "oracle.json").write_text(dataset.oracle.to_json())
-    (out / "generator.json").write_text(json.dumps(asdict(dataset.spec), indent=1))
+    meta = asdict(dataset.spec)
+    # the derived textures and the seed, at their keys' places in earlier files
+    meta.update(texture_params=dataset.spec.texture_params,
+                val_fraction=meta.pop("val_fraction"), seed=dataset.spec.seed)
+    (out / "generator.json").write_text(json.dumps(meta, indent=1))
     return out

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ral.cli import main, output_lock
-from ral.config import ExperimentConfig, SyntheticSection
+from ral.config import ExperimentConfig
 from ral.experiment import run_experiment
 from ral.imageio import save_image
 from ral.loop import RalConfig
@@ -175,18 +175,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="stride 32 exceeds window 20"):
             ExperimentConfig.from_dict({"tiling": {"window": 20}})
 
-    def test_sections_mirror_the_configs_they_build(self):
-        # the seed comes from the top level; texture_params has no config key
-        def names(cls):
-            return [f.name for f in dataclasses.fields(cls)]
-
-        assert names(SyntheticSection) == [
-            n for n in names(SynthSpec) if n not in ("seed", "texture_params")]
-
     def test_sections_are_the_library_classes(self):
-        config = ExperimentConfig.from_dict({"tiling": {"stride": 16}, "ral": {"tau": 0.2}})
+        config = ExperimentConfig.from_dict({"tiling": {"stride": 16}, "ral": {"tau": 0.2},
+                                             "synthetic": {"slide_size": [64, 32]}})
         assert config.tiling == TilingSpec(32, 16)
         assert config.ral == RalConfig(tau=0.2)
+        assert config.synthetic == SynthSpec(slide_size=(64, 32))
+        assert isinstance(ExperimentConfig().synthetic, SynthSpec)
 
     def test_seed_is_no_ral_setting(self):
         with pytest.raises(ValueError, match=r"unknown ral config keys: \['seed'\]"):
@@ -196,6 +191,50 @@ class TestConfig:
     def test_ral_settings_checked_at_load(self):
         with pytest.raises(ValueError, match=r"tau must be in \[0, 1\), got 1.5"):
             ExperimentConfig.from_dict({"ral": {"tau": 1.5}})
+
+    @pytest.mark.parametrize("key, value", [("seed", 1), ("texture_params", [[1, 0]])])
+    def test_seed_and_textures_are_no_synthetic_settings(self, key, value):
+        with pytest.raises(ValueError, match=rf"unknown synthetic config keys: \['{key}'\]"):
+            ExperimentConfig.from_dict({"synthetic": {key: value}})
+        assert key not in ExperimentConfig().to_dict()["synthetic"]
+
+    @pytest.mark.parametrize("section, values, message", [
+        ("synthetic", {"contamination_rho": 1.5}, "contamination_rho must be in [0, 1), got 1.5"),
+        ("synthetic", {"window": 0, "stride": 0},
+         "generator window must be a positive integer, got 0"),
+        ("synthetic", {"classes": 1}, "contamination_rho 0.25 needs a second class to "
+                                      "paint mislabeled regions with, got classes 1"),
+        ("synthetic", {"slides_per_class": 0},
+         "generator slides_per_class must be a positive integer, got 0"),
+        ("synthetic", {"slides_per_class": 2.5},
+         "generator slides_per_class must be a positive integer, got 2.5"),
+        ("synthetic", {"noise_sigma": -0.1}, "noise_sigma must be non-negative, got -0.1"),
+        ("synthetic", {"val_fraction": 1.0}, "generator val_fraction must be in [0, 1), got 1.0"),
+        ("synthetic", {"val_fraction": -0.1},
+         "generator val_fraction must be in [0, 1), got -0.1"),
+        ("synthetic", {"val_fraction": 0.9},
+         "generator val_fraction 0.9 leaves no training slide of 5 per class"),
+        ("network", {"channel_plan": [0, 16, 8]},
+         "channel widths must be positive integers, got channel_plan [0, 16, 8] "
+         "and stem_channels None"),
+        ("network", {"channel_plan": [8.5, 16, 8]}, "channel widths must be positive "
+                                                    "integers, got channel_plan [8.5, 16, 8]"),
+        ("network", {"stem_channels": -2}, "channel widths must be positive integers, "
+                                           "got channel_plan [2, 4, 2] and stem_channels -2"),
+    ], ids=["rho", "window", "one-class", "no-slides", "float-slides", "sigma", "val-1",
+            "val-negative", "val-no-train", "zero-width", "float-width", "negative-stem"])
+    def test_bad_values_rejected_at_load(self, tmp_path, capsys, section, values, message):
+        # the dataset exists, so nothing but the config stops ral ral
+        cfg_path, cfg = tiny_config(tmp_path)
+        assert main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]]) == 0
+        cfg[section].update(values)
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        for command in ("generate", "ral"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+            assert f"ral: error: {message}" in capsys.readouterr().err
+            assert [p.name for p in out.iterdir()] == ["error.log"]
 
     @pytest.mark.parametrize("text, message", [
         ('{"ral": null}', "ral config must be a JSON object, got null"),

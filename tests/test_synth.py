@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -7,8 +8,8 @@ import pytest
 from ral.dataset import load_dataset
 from ral.imageio import save_image
 from ral.patches import TilingSpec, build_training_set, tile
-from ral.synth import (MislabelOracle, OracleEntry, SynthSpec, generate,
-                       oracle_eval, write_dataset)
+from ral.synth import (DEFAULT_TEXTURES, MislabelOracle, OracleEntry, SynthSpec,
+                       generate, oracle_eval, write_dataset)
 
 
 def small_spec(**kw):
@@ -31,6 +32,19 @@ class TestSpec:
     def test_indivisible_slide_rejected(self):
         with pytest.raises(ValueError, match="not divisible"):
             SynthSpec(slide_size=(100, 128))
+
+    def test_build_carries_the_seed_and_changes_no_setting(self):
+        spec = small_spec(classes=3)
+        built = spec.build(11)
+        assert (built.seed, spec.seed) == (11, 3)
+        assert built == spec and dataclasses.asdict(built) == dataclasses.asdict(spec)
+        assert dataclasses.replace(built, noise_sigma=0.1).seed == 11
+
+    def test_derived_textures_one_per_class_with_distinct_frequencies(self):
+        for classes in range(1, 13):
+            textures = SynthSpec(classes=classes, contamination_rho=0.0).texture_params
+            assert len(textures) == classes
+            assert len({f for f, _ in textures}) == classes
 
     def test_default_region_math(self):
         spec = SynthSpec()
@@ -217,6 +231,10 @@ class TestRoundTrip:
         meta = json.loads((root / "generator.json").read_text())
         assert meta["window"] == 16
         assert meta["slides_per_class"] == 2
+        # neither is a field; both are written, at their old key positions
+        assert meta["seed"] == 3
+        assert meta["texture_params"] == [list(t) for t in DEFAULT_TEXTURES]
+        assert list(meta)[-3:] == ["texture_params", "val_fraction", "seed"]
 
     @pytest.mark.parametrize("field", ["group_id", "assigned_label", "true_label"])
     def test_oracle_entry_without_a_field_rejected(self, tmp_path, field):
