@@ -64,6 +64,8 @@ class SynthSpec:
                 f"({self.window}): contaminated regions must coincide with "
                 f"tiling cells for the oracle to be exact")
         h, w = self.slide_size
+        if not all(isinstance(d, int) and d > 0 for d in (h, w)):
+            raise ValueError(f"generator slide_size must be two positive integers, got {[h, w]}")
         if h % self.window or w % self.window:
             raise ValueError(f"slide size {w}x{h} not divisible by window {self.window}")
         if not 0.0 <= self.contamination_rho < 1.0:

@@ -209,6 +209,8 @@ class TestConfig:
         ("synthetic", {"slides_per_class": 2.5},
          "generator slides_per_class must be a positive integer, got 2.5"),
         ("synthetic", {"noise_sigma": -0.1}, "noise_sigma must be non-negative, got -0.1"),
+        ("synthetic", {"slide_size": [0, 0]},
+         "generator slide_size must be two positive integers, got [0, 0]"),
         ("synthetic", {"val_fraction": 1.0}, "generator val_fraction must be in [0, 1), got 1.0"),
         ("synthetic", {"val_fraction": -0.1},
          "generator val_fraction must be in [0, 1), got -0.1"),
@@ -221,8 +223,9 @@ class TestConfig:
                                                     "integers, got channel_plan [8.5, 16, 8]"),
         ("network", {"stem_channels": -2}, "channel widths must be positive integers, "
                                            "got channel_plan [2, 4, 2] and stem_channels -2"),
-    ], ids=["rho", "window", "one-class", "no-slides", "float-slides", "sigma", "val-1",
-            "val-negative", "val-no-train", "zero-width", "float-width", "negative-stem"])
+    ], ids=["rho", "window", "one-class", "no-slides", "float-slides", "sigma", "empty-size",
+            "val-1", "val-negative", "val-no-train", "zero-width", "float-width",
+            "negative-stem"])
     def test_bad_values_rejected_at_load(self, tmp_path, capsys, section, values, message):
         # the dataset exists, so nothing but the config stops ral ral
         cfg_path, cfg = tiny_config(tmp_path)
