@@ -3,7 +3,8 @@
 Two on-disk families:
 
 * Binary plain pixmaps, 8-bit maxval 255: P5 (grayscale) and P6 (RGB).
-  Loaded as float arrays scaled to [0, 1] with shape HxWx1 or HxWx3.
+  Loaded as float arrays scaled to [0, 1] with shape HxWx1 or HxWx3;
+  written from uint8 arrays as they are, or from [0, 1] floats.
 * "RALT" raw tensors: magic b"RALT", rank u32, dims u32 x rank, then
   little-endian float32 values row-major. Lossless for float32 data.
 
@@ -28,8 +29,9 @@ class ImageFormatError(ValueError):
 def load_image(path):
     """Read a P5/P6 pixmap or RALT tensor as a float32 array.
 
-    Pixmaps come back HxWx1 or HxWx3 scaled to [0,1]; RALT tensors keep
-    their stored shape and values.
+    Pixmaps come back HxWx1 or HxWx3, each byte b as float32(b) / 255 in
+    one pass over the pixel data; RALT tensors keep their stored shape and
+    values.
     """
     path = Path(path)
     blob = path.read_bytes()
@@ -40,8 +42,21 @@ def load_image(path):
     raise ImageFormatError(f"{path}: unknown magic {blob[:4]!r} at byte 0")
 
 
+def to_uint8(pixels):
+    """The bytes a pixmap stores for [0,1] values: x * 255 rounded half to
+    even, clipped to [0, 255], in the input's float precision."""
+    q = np.multiply(pixels, 255.0)
+    np.rint(q, out=q)
+    np.clip(q, 0, 255, out=q)
+    return q.astype(np.uint8)
+
+
 def save_image(path, pixels):
-    """Write a [0,1] float image as P5 (1 channel) or P6 (3 channels)."""
+    """Write an image as P5 (1 channel) or P6 (3 channels).
+
+    A uint8 array is written as it is; any other input is taken as [0,1]
+    values and quantized by ``to_uint8``.
+    """
     path = Path(path)
     arr = np.asarray(pixels)
     if arr.ndim == 2:
@@ -49,7 +64,7 @@ def save_image(path, pixels):
     if arr.ndim != 3 or arr.shape[2] not in (1, 3):
         raise ImageFormatError(f"cannot write shape {arr.shape} as a pixmap")
     h, w, c = arr.shape
-    data = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
+    data = arr if arr.dtype == np.uint8 else to_uint8(arr)
     magic = b"P6" if c == 3 else b"P5"
     header = magic + f"\n{w} {h}\n255\n".encode()
     path.write_bytes(header + data.tobytes())
@@ -119,7 +134,8 @@ def _decode_pixmap(blob, name):
         raise ImageFormatError(f"{name}: truncated at byte {len(blob)}: "
                                f"need {need - have} more pixel bytes")
     data = np.frombuffer(blob, dtype=np.uint8, count=need, offset=off)
-    return (data.reshape(height, width, channels).astype(np.float32) / 255.0)
+    return np.divide(data.reshape(height, width, channels), np.float32(255.0),
+                     dtype=np.float32)
 
 
 def _skip_space_and_comments(blob, off, name):

@@ -47,12 +47,15 @@ class RalConfig:
         self.seed = seed  # kept, so that dataclasses.replace keeps it too
         if not 0.0 <= self.tau < 1.0:
             raise ValueError(f"tau must be in [0, 1), got {self.tau}")
-        if not 0 <= self.group_threshold <= VARIANTS:
-            raise ValueError(f"group_threshold must be in [0, {VARIANTS}]")
-        if self.iterations < 0 or self.max_epochs < 0 or self.finetune_epochs < 0:
-            raise ValueError("iterations and epoch counts must be non-negative")
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
+        for name in ("group_threshold", "iterations", "max_epochs", "finetune_epochs"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value >= 0):
+                raise ValueError(f"{name} must be a non-negative integer, got {value}")
+        if self.group_threshold > VARIANTS:
+            raise ValueError(f"group_threshold must be at most {VARIANTS}, "
+                             f"got {self.group_threshold}")
+        if not (isinstance(self.batch_size, int) and self.batch_size > 0):
+            raise ValueError(f"batch_size must be a positive integer, got {self.batch_size}")
         # learning_rate 0 is allowed: it freezes the weights
         if not self.learning_rate >= 0.0:
             raise ValueError(f"learning_rate must be non-negative, got {self.learning_rate}")

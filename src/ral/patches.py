@@ -25,8 +25,10 @@ class TilingSpec:
     stride: int = 32
 
     def __post_init__(self):
-        if self.window <= 0 or self.stride <= 0:
-            raise ValueError(f"window and stride must be positive, got {self.window}/{self.stride}")
+        for name in ("window", "stride"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value > 0):
+                raise ValueError(f"tiling {name} must be a positive integer, got {value}")
         if self.stride > self.window:
             raise ValueError(f"stride {self.stride} exceeds window {self.window}")
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .imageio import to_uint8
 from .metrics import macro_accuracy, plain_accuracy
 from .patches import SlideImage
 
@@ -152,13 +153,17 @@ def predict_slide(net, slide: SlideImage, window):
 
 
 def render_class_map(prediction: SlidePrediction, class_names, cell_size=32):
-    """One colored block per grid cell, as an RGB float image in [0,1]."""
-    rows, cols = prediction.patch_labels.shape
-    palette = np.array([class_color(name, i) for i, name in enumerate(class_names)],
-                       dtype=np.float32)
-    img = np.empty((rows, cell_size, cols, cell_size, 3), dtype=np.float32)
-    img[...] = palette[prediction.patch_labels][:, None, :, None]
-    return img.reshape(rows * cell_size, cols * cell_size, 3)
+    """One colored block per grid cell, as an 8-bit RGB image: a uint8
+    (rows * cell_size, cols * cell_size, 3) array.
+
+    The float32 palette is quantized once by ``imageio.to_uint8``, so
+    ``save_image`` writes the bytes the [0,1] colors would give; the cell
+    colors are then repeated along each row and down each column.
+    """
+    palette = to_uint8(np.array([class_color(name, i) for i, name in enumerate(class_names)],
+                                dtype=np.float32))
+    cells = palette[prediction.patch_labels]
+    return cells.repeat(cell_size, axis=1).repeat(cell_size, axis=0)
 
 
 def slice_accuracy(predictions, truth_labels, n_classes):

@@ -223,9 +223,24 @@ class TestConfig:
                                                     "integers, got channel_plan [8.5, 16, 8]"),
         ("network", {"stem_channels": -2}, "channel widths must be positive integers, "
                                            "got channel_plan [2, 4, 2] and stem_channels -2"),
+        ("tiling", {"window": 16.0, "stride": 16.0},
+         "tiling window must be a positive integer, got 16.0"),
+        ("tiling", {"stride": 8.0}, "tiling stride must be a positive integer, got 8.0"),
+        ("tiling", {"stride": 0}, "tiling stride must be a positive integer, got 0"),
+        ("ral", {"batch_size": 8.5}, "batch_size must be a positive integer, got 8.5"),
+        ("ral", {"batch_size": 0}, "batch_size must be a positive integer, got 0"),
+        ("ral", {"iterations": 1.0}, "iterations must be a non-negative integer, got 1.0"),
+        ("ral", {"max_epochs": -1}, "max_epochs must be a non-negative integer, got -1"),
+        ("ral", {"finetune_epochs": 0.5},
+         "finetune_epochs must be a non-negative integer, got 0.5"),
+        ("ral", {"group_threshold": 4.0},
+         "group_threshold must be a non-negative integer, got 4.0"),
+        ("ral", {"group_threshold": 9}, "group_threshold must be at most 8, got 9"),
     ], ids=["rho", "window", "one-class", "no-slides", "float-slides", "sigma", "empty-size",
             "val-1", "val-negative", "val-no-train", "zero-width", "float-width",
-            "negative-stem"])
+            "negative-stem", "float-tiling-window", "float-tiling-stride", "zero-tiling-stride",
+            "float-batch", "zero-batch", "float-iterations", "negative-epochs",
+            "float-finetune-epochs", "float-group-threshold", "group-threshold-9"])
     def test_bad_values_rejected_at_load(self, tmp_path, capsys, section, values, message):
         # the dataset exists, so nothing but the config stops ral ral
         cfg_path, cfg = tiny_config(tmp_path)

@@ -66,3 +66,38 @@ def test_bad_maxval_rejected(tmp_path):
     path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
     with pytest.raises(ImageFormatError, match="maxval"):
         load_image(path)
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (3, 5, 1), (3, 5, 3)])
+def test_uint8_written_as_it_is(tmp_path, shape):
+    arr = np.random.default_rng(2).integers(0, 256, size=shape).astype(np.uint8)
+    path = save_image(tmp_path / "u.pnm", arr)
+    magic = b"P6" if shape[-1] == 3 else b"P5"
+    assert path.read_bytes() == magic + b"\n5 3\n255\n" + arr.tobytes()
+    assert (load_image(path) * 255.0).round().astype(np.uint8).tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_float_bytes_are_the_rounded_and_clipped_values(tmp_path, dtype, channels):
+    rng = np.random.default_rng(3)
+    arr = rng.uniform(-0.3, 1.3, size=(6, 50, channels)).astype(dtype)
+    # every byte value, its rounding midpoints, and values far outside [0, 1]
+    k = np.arange(256)
+    arr.flat[:768] = np.concatenate([k / 255.0, (k + 0.5) / 255.0, (k - 0.5) / 255.0])
+    arr.flat[-4:] = [-7.0, -0.0, 1.0 + 1e-6, 40.0]
+    path = save_image(tmp_path / "f.pnm", arr)
+    ref = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
+    magic = b"P6" if channels == 3 else b"P5"
+    assert path.read_bytes() == magic + b"\n50 6\n255\n" + ref.tobytes()
+
+
+@pytest.mark.parametrize("magic, channels", [(b"P5", 1), (b"P6", 3)])
+def test_decode_is_float32_bytes_over_255_for_every_byte(tmp_path, magic, channels):
+    data = np.repeat(np.arange(256, dtype=np.uint8), channels)
+    path = tmp_path / "all.pnm"
+    path.write_bytes(magic + b"\n16 16\n255\n" + data.tobytes())
+    img = load_image(path)
+    ref = data.reshape(16, 16, channels).astype(np.float32) / 255.0
+    assert img.dtype == np.float32 and img.shape == (16, 16, channels)
+    assert img.tobytes() == ref.tobytes()

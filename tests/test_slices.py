@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ral.imageio import save_image
 from ral.metrics import macro_accuracy, plain_accuracy
 from ral.nn import LayerSpec, Network, NetworkSpec, build_classifier
 from ral.nn.network import PREDICT_CHUNK
@@ -190,21 +191,44 @@ class TestMajorityVote:
             assert label == counts.argmax()
 
 
+def float_class_map(labels, names, cell_size):
+    """The float path class maps took before they were 8-bit: a float32
+    [0,1] image filled cell by cell."""
+    rows, cols = labels.shape
+    img = np.zeros((rows * cell_size, cols * cell_size, 3), dtype=np.float32)
+    for r in range(rows):
+        for c in range(cols):
+            idx = int(labels[r, c])
+            img[cell_size * r:cell_size * (r + 1),
+                cell_size * c:cell_size * (c + 1)] = class_color(names[idx], idx)
+    return img
+
+
+def quantized(x):
+    # how a pixmap writer stores [0,1] floats
+    return np.clip(np.rint(x * 255.0), 0, 255).astype(np.uint8)
+
+
 class TestRenderClassMap:
     def make_prediction(self, labels, n_classes=4):
         labels = np.asarray(labels)
         probs = np.eye(n_classes)[labels]
         return SlidePrediction("s", probs, labels, 0, {}, False)
 
+    def color(self, index, names=CLASSES):
+        return quantized(np.array(class_color(names[index], index), dtype=np.float32))
+
     def test_uniform_grid_renders_one_color(self):
         pred = self.make_prediction(np.zeros((3, 4), dtype=int))
         img = render_class_map(pred, CLASSES, cell_size=4)
-        assert img.shape == (12, 16, 3)
-        np.testing.assert_allclose(img, np.broadcast_to(class_color("Normal", 0), img.shape))
+        assert img.shape == (12, 16, 3) and img.dtype == np.uint8
+        np.testing.assert_array_equal(img, np.broadcast_to(self.color(0), img.shape))
+        assert self.color(0).tolist() == [0, 204, 0]
 
     def test_palette_is_injective(self):
         colors = {class_color(name, i) for i, name in enumerate(CLASSES)}
         assert len(colors) == 4
+        assert len({tuple(self.color(i)) for i in range(4)}) == 4
 
     def test_known_grid_matches_fixture(self):
         labels = np.array([[0, 1, 2, 3], [3, 2, 1, 0], [1, 1, 3, 3]])
@@ -213,21 +237,28 @@ class TestRenderClassMap:
         # hand-built expectation: each 2x2 block uniformly its class color
         for r in range(3):
             for c in range(4):
-                expected = np.array(class_color(CLASSES[labels[r, c]], labels[r, c]))
                 block = img[2 * r:2 * r + 2, 2 * c:2 * c + 2]
-                np.testing.assert_allclose(block, np.broadcast_to(expected, (2, 2, 3)))
+                np.testing.assert_array_equal(
+                    block, np.broadcast_to(self.color(labels[r, c]), (2, 2, 3)))
 
     @pytest.mark.parametrize("names", [CLASSES, [f"class{i}" for i in range(10)]])
     def test_bytes_match_per_cell_loop(self, names):
         labels = np.random.default_rng(8).integers(len(names), size=(5, 7))
         img = render_class_map(self.make_prediction(labels, len(names)), names, cell_size=3)
-        ref = np.zeros((15, 21, 3), dtype=np.float32)
-        for r in range(5):
-            for c in range(7):
-                idx = int(labels[r, c])
-                ref[3 * r:3 * r + 3, 3 * c:3 * c + 3] = class_color(names[idx], idx)
-        assert img.dtype == np.float32 and img.flags.c_contiguous and img.flags.writeable
+        ref = quantized(float_class_map(labels, names, 3))
+        assert img.dtype == np.uint8 and img.flags.c_contiguous and img.flags.writeable
         assert img.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("cell_size", [1, 3, 32])
+    @pytest.mark.parametrize("names", [CLASSES, [f"class{i}" for i in range(10)]],
+                             ids=["named", "fallback"])
+    def test_written_bytes_match_the_float_path(self, tmp_path, names, cell_size):
+        labels = np.random.default_rng(cell_size).integers(len(names), size=(4, 6))
+        img = render_class_map(self.make_prediction(labels, len(names)), names, cell_size)
+        path = save_image(tmp_path / "map.ppm", img)
+        ref = quantized(float_class_map(labels, names, cell_size))
+        header = f"P6\n{6 * cell_size} {4 * cell_size}\n255\n".encode()
+        assert path.read_bytes() == header + ref.tobytes()
 
     def test_label_grids_map_to_distinct_images(self):
         a = self.make_prediction(np.zeros((2, 2), dtype=int))
