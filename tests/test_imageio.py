@@ -81,7 +81,7 @@ def test_uint8_written_as_it_is(tmp_path, shape):
 @pytest.mark.parametrize("channels", [1, 3])
 def test_float_bytes_are_the_rounded_and_clipped_values(tmp_path, dtype, channels):
     rng = np.random.default_rng(3)
-    arr = rng.uniform(-0.3, 1.3, size=(6, 50, channels)).astype(dtype)
+    arr = rng.uniform(-0.3, 1.3, size=(16, 50, channels)).astype(dtype)
     # every byte value, its rounding midpoints, and values far outside [0, 1]
     k = np.arange(256)
     arr.flat[:768] = np.concatenate([k / 255.0, (k + 0.5) / 255.0, (k - 0.5) / 255.0])
@@ -89,7 +89,7 @@ def test_float_bytes_are_the_rounded_and_clipped_values(tmp_path, dtype, channel
     path = save_image(tmp_path / "f.pnm", arr)
     ref = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
     magic = b"P6" if channels == 3 else b"P5"
-    assert path.read_bytes() == magic + b"\n50 6\n255\n" + ref.tobytes()
+    assert path.read_bytes() == magic + b"\n50 16\n255\n" + ref.tobytes()
 
 
 @pytest.mark.parametrize("magic, channels", [(b"P5", 1), (b"P6", 3)])
