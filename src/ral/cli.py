@@ -26,7 +26,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .config import ExperimentConfig
-from .dataset import class_names_of, load_dataset, require_splits
+from .dataset import class_names_of, require_splits
 from .experiment import build_network_for, run_experiment
 from .imageio import load_image, save_image
 from .loop import initial_train
@@ -104,12 +104,6 @@ def _error_dir(args):
     return Path(args.out)
 
 
-def _dataset_path(config):
-    if config.dataset_path is None:
-        raise ValueError("config.dataset_path is required for this command")
-    return config.dataset_path
-
-
 def cmd_generate(args):
     config, out = _resolve(args)
     with output_lock(out):
@@ -125,8 +119,7 @@ def cmd_generate(args):
 def cmd_tile(args):
     """Plan the training-set tiling and write it as a patch manifest."""
     config, out = _resolve(args)
-    train_slides, val_slides, class_names, _ = load_dataset(
-        _dataset_path(config), config.val_fraction, config.seed)
+    train_slides, val_slides, class_names, _ = config.load_dataset()
     manifest = build_manifest(train_slides, config.tiling, class_names)
     with output_lock(out):
         (out / "manifest.json").write_text(
@@ -139,8 +132,7 @@ def cmd_tile(args):
 
 def cmd_train(args):
     config, out = _resolve(args)
-    train_slides, _, class_names, _ = load_dataset(
-        _dataset_path(config), config.val_fraction, config.seed)
+    train_slides, _, class_names, _ = config.load_dataset()
     ts = build_training_set(train_slides, config.tiling, class_names)
     net = build_network_for(config, class_names, train_slides[0].pixels.shape[2])
     with output_lock(out):
@@ -184,11 +176,10 @@ def _require_classes(net, class_names, checkpoint):
 def cmd_eval(args):
     config, out = _resolve(args)
     net = load_checkpoint(args.checkpoint)
-    train_slides, val_slides, class_names, _ = load_dataset(
-        _dataset_path(config), config.val_fraction, config.seed)
+    train_slides, val_slides, class_names, _ = config.load_dataset()
     require_splits(train_slides, val_slides)
     _require_classes(net, class_names, args.checkpoint)
-    summary = {split: evaluate_slides(net, slides, config.eval_window, class_names)
+    summary = {split: evaluate_slides(net, slides, config.tiling.window, class_names)
                for split, slides in (("train", train_slides), ("val", val_slides))}
     with output_lock(out):
         (out / "eval.json").write_text(json.dumps(summary, indent=1) + "\n")
@@ -208,11 +199,11 @@ def cmd_predict_slide(args):
         class_names = [f"class{i}" for i in range(net.spec.classes)]
     _require_classes(net, class_names, args.checkpoint)
     slide = SlideImage(slide_id, class_names[0], pixels)
-    pred = predict_slide(net, slide, config.eval_window)
+    pred = predict_slide(net, slide, config.tiling.window)
     with output_lock(out):
         map_path = out / f"classmap_{slide_id}.ppm"
         save_image(map_path, render_class_map(pred, class_names,
-                                              cell_size=config.eval_window))
+                                              cell_size=config.tiling.window))
     counts = ", ".join(f"{class_names[c]}:{n}" for c, n in sorted(pred.vote_counts.items()))
     print(f"{slide_id}: {class_names[pred.voted_label]} "
           f"(votes {counts}{', tie broken' if pred.tie_broken else ''}) -> {map_path}")

@@ -11,9 +11,9 @@ The ``tiling``, ``ral`` and ``synthetic`` sections are the library's own
 ``patches.TilingSpec``, ``loop.RalConfig`` and ``synth.SynthSpec``: each
 setting is declared once, with one default, and checked when the config
 loads; ``RalConfig`` and ``SynthSpec`` take the top-level seed. ``network``
-is a section of its own: a network is built from it, the window and the
-class count, and the load builds one to check that the section fits the
-window.
+is a section of its own: ``network_spec`` builds the classifier from it,
+the window, the channel and class counts, and the load builds one to check
+that the section fits the window.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
+from .dataset import load_dataset
 from .loop import RalConfig
 from .nn import build_classifier
 from .patches import TilingSpec
@@ -77,8 +78,7 @@ class ExperimentConfig:
         sections = {f.name: _take(d.get(f.name, {}), f.name, f.default_factory)
                     for f in fields(ExperimentConfig) if f.default_factory is not MISSING}
         cfg = _take({**d, **sections}, "experiment", ExperimentConfig)
-        build_classifier(cfg.tiling.window, cfg.network.channel_plan,
-                         stem_channels=cfg.network.stem_channels)
+        cfg.network_spec()
         if not 0.0 < cfg.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in (0, 1), got {cfg.val_fraction}")
         return cfg
@@ -90,8 +90,14 @@ class ExperimentConfig:
     def to_dict(self):
         return asdict(self)
 
-    @property
-    def eval_window(self):
-        # slide voting and evaluation tile without overlap at the same
-        # window the network was built for
-        return self.tiling.window
+    def network_spec(self, in_channels=3, classes=4):
+        """The classifier for this config's window and ``network`` section."""
+        return build_classifier(self.tiling.window, self.network.channel_plan,
+                                in_channels=in_channels, classes=classes,
+                                stem_channels=self.network.stem_channels)
+
+    def load_dataset(self):
+        """The module's ``load_dataset`` of ``dataset_path``, ``val_fraction`` and ``seed``."""
+        if self.dataset_path is None:
+            raise ValueError("config.dataset_path is required for this command")
+        return load_dataset(self.dataset_path, self.val_fraction, self.seed)

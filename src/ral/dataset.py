@@ -5,8 +5,9 @@ Two layouts are accepted:
     root/<class>/<slide>.{ppm,pgm,ralt}            (flat; split at load time)
     root/{train,val}/<class>/<slide>.{...}         (pre-split)
 
-An ``oracle.json`` at the root, when present, carries mislabel ground truth
-for synthetic data.
+Every slide of a dataset, in both splits, is HxWxC with one C: the first
+slide's. An ``oracle.json`` at the root, when present, carries mislabel
+ground truth for synthetic data.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .synth import MislabelOracle
 IMAGE_SUFFIXES = (".ppm", ".pgm", ".ralt")
 
 
-def _load_class_dirs(root):
+def _load_class_dirs(root, channels=None):
     root = Path(root)
     slides = []
     class_names = sorted(p.name for p in root.iterdir() if p.is_dir())
@@ -32,7 +33,14 @@ def _load_class_dirs(root):
         if not files:
             raise ValueError(f"{root / cname}: no slide images found")
         for f in files:
-            slides.append(SlideImage(f.stem, cname, load_image(f)))
+            pixels = load_image(f)
+            if pixels.ndim != 3 or not pixels.shape[2]:
+                raise ValueError(f"{f}: slide shape {pixels.shape} is not HxWxC, C > 0")
+            channels = channels or pixels.shape[2]
+            if pixels.shape[2] != channels:
+                raise ValueError(f"{f}: slide has {pixels.shape[2]} channels, but the "
+                                 f"dataset's first slide has {channels}")
+            slides.append(SlideImage(f.stem, cname, pixels))
     return slides, class_names
 
 
@@ -69,7 +77,7 @@ def load_dataset(root, val_fraction=0.2, seed=0):
         raise ValueError(f"{root}: found only one of train/ and val/")
     if has_train:
         train, train_names = _load_class_dirs(root / "train")
-        val, val_names = _load_class_dirs(root / "val")
+        val, val_names = _load_class_dirs(root / "val", train[0].pixels.shape[2])
         if train_names != val_names:
             raise ValueError(f"{root}: train and val class directories differ")
         return train, val, train_names, oracle

@@ -20,11 +20,11 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .config import ExperimentConfig
-from .dataset import load_dataset, require_splits
+from .dataset import require_splits
 from .loop import run_ral
-from .nn import Network, build_classifier, save_checkpoint
+from .nn import Network, save_checkpoint
 from .patches import build_training_set
-from .slices import evaluate_slides
+from .slices import SlideCells, evaluate_slides
 from .synth import oracle_eval
 
 
@@ -38,10 +38,7 @@ class ExperimentOutput:
 
 
 def build_network_for(config: ExperimentConfig, class_names, in_channels):
-    spec = build_classifier(config.tiling.window, config.network.channel_plan,
-                            in_channels=in_channels, classes=len(class_names),
-                            stem_channels=config.network.stem_channels)
-    return Network(spec, seed=config.seed)
+    return Network(config.network_spec(in_channels, len(class_names)), seed=config.seed)
 
 
 def make_evaluator(config, class_names, train_slides, val_slides):
@@ -51,8 +48,11 @@ def make_evaluator(config, class_names, train_slides, val_slides):
     Every number comes from one non-overlapping grid pass per slide: the
     validation patch accuracy is the macro accuracy of the validation
     cells, and the slice accuracies are the macro accuracies of the votes.
+    A slide that the window does not divide fails here, before training.
     """
-    window = config.eval_window
+    window = config.tiling.window
+    for slides in (train_slides, val_slides):
+        SlideCells(slides, window)
 
     def evaluator(net):
         train = evaluate_slides(net, train_slides, window, class_names)
@@ -66,12 +66,9 @@ def make_evaluator(config, class_names, train_slides, val_slides):
 
 def run_experiment(config: ExperimentConfig, out_dir=None, write=True):
     """Run the full refinement experiment described by the config."""
-    if config.dataset_path is None:
-        raise ValueError("config.dataset_path is required for this command")
     ral_config = replace(config.ral, seed=config.seed)
     out = Path(out_dir if out_dir is not None else config.output_dir)
-    train_slides, val_slides, class_names, oracle = load_dataset(
-        config.dataset_path, config.val_fraction, config.seed)
+    train_slides, val_slides, class_names, oracle = config.load_dataset()
     require_splits(train_slides, val_slides)
 
     ts = build_training_set(train_slides, config.tiling, class_names)

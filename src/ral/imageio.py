@@ -5,8 +5,10 @@ Two on-disk families:
 * Binary plain pixmaps, 8-bit maxval 255: P5 (grayscale) and P6 (RGB).
   Loaded as float arrays scaled to [0, 1] with shape HxWx1 or HxWx3;
   written from uint8 arrays as they are, or from [0, 1] floats.
-* "RALT" raw tensors: magic b"RALT", rank u32, dims u32 x rank, then
-  little-endian float32 values row-major. Lossless for float32 data.
+* "RALT" raw tensors: magic b"RALT", then one tensor record: rank u32,
+  dims u32 x rank, little-endian float32 values row-major. Lossless for
+  float32 data. ``pack_tensor`` and ``unpack_tensor`` write and read the
+  record for RALW checkpoints (``nn.checkpoint``) too.
 
 Malformed files are rejected with the byte offset of the problem;
 truncated files report how many bytes are missing.
@@ -14,6 +16,7 @@ truncated files report how many bytes are missing.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -36,7 +39,7 @@ def load_image(path):
     path = Path(path)
     blob = path.read_bytes()
     if blob[:4] == RALT_MAGIC:
-        return _decode_ralt(blob, str(path))
+        return unpack_tensor(blob, 4, str(path), "tensor")[0].astype(np.float32)
     if blob[:2] in (b"P5", b"P6"):
         return _decode_pixmap(blob, str(path))
     raise ImageFormatError(f"{path}: unknown magic {blob[:4]!r} at byte 0")
@@ -73,33 +76,34 @@ def save_image(path, pixels):
 
 def save_ralt(path, tensor):
     path = Path(path)
-    arr = np.ascontiguousarray(tensor, dtype="<f4")
-    parts = [RALT_MAGIC, struct.pack("<I", arr.ndim),
-             struct.pack(f"<{arr.ndim}I", *arr.shape), arr.tobytes()]
-    path.write_bytes(b"".join(parts))
+    path.write_bytes(RALT_MAGIC + pack_tensor(tensor))
     return path
 
 
-def _decode_ralt(blob, name):
-    off = 4
-    if len(blob) < 8:
-        raise ImageFormatError(f"{name}: truncated at byte {len(blob)}: "
-                               f"need {8 - len(blob)} more bytes for rank")
+def pack_tensor(tensor):
+    """The record of ``tensor`` as float32; a rank-0 tensor stays rank 0."""
+    arr = np.asarray(tensor, dtype="<f4")
+    return struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape) + arr.tobytes()
+
+
+def need_bytes(blob, off, n, name, what):
+    """Raise unless ``blob`` holds the ``n`` bytes of ``what`` at ``off``."""
+    if off + n > len(blob):
+        raise ImageFormatError(f"{name}: truncated reading {what} at byte {off}: "
+                               f"need {off + n - len(blob)} more bytes")
+
+
+def unpack_tensor(blob, off, name, what):
+    """(tensor, offset after it) of the record of tensor ``what`` at byte
+    ``off``; the tensor is a read-only little-endian float32 view of ``blob``."""
+    need_bytes(blob, off, 4, name, f"{what} rank")
     (rank,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    need = 4 * rank
-    if len(blob) < off + need:
-        raise ImageFormatError(f"{name}: truncated at byte {len(blob)}: "
-                               f"need {off + need - len(blob)} more bytes for dims")
-    dims = struct.unpack_from(f"<{rank}I", blob, off)
-    off += need
-    count = int(np.prod(dims)) if rank else 1
-    need = 4 * count
-    if len(blob) < off + need:
-        raise ImageFormatError(f"{name}: truncated at byte {len(blob)}: "
-                               f"need {off + need - len(blob)} more bytes of data")
-    data = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
-    return data.reshape(dims).astype(np.float32)
+    need_bytes(blob, off + 4, 4 * rank, name, f"{what} dims")
+    dims = struct.unpack_from(f"<{rank}I", blob, off + 4)
+    off += 4 + 4 * rank
+    count = math.prod(dims)
+    need_bytes(blob, off, 4 * count, name, f"{what} data")
+    return np.frombuffer(blob, "<f4", count, off).reshape(dims), off + 4 * count
 
 
 def _decode_pixmap(blob, name):

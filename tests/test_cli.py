@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from ral.cli import main, output_lock
 from ral.config import ExperimentConfig
 from ral.experiment import run_experiment
-from ral.imageio import save_image
+from ral.imageio import save_image, save_ralt
 from ral.loop import RalConfig
 from ral.nn import Network, build_classifier, save_checkpoint
 from ral.patches import TilingSpec
@@ -518,6 +519,76 @@ class TestEmptySplit:
         assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 0
         summary = json.loads((Path(cfg["output_dir"]) / "eval.json").read_text())
         assert sorted(summary) == ["train", "val"]
+
+
+def fails_leaving_only_the_error_log(cfg_path, command, tmp_path, capsys, message):
+    out = tmp_path / f"out_{command}"
+    args = [command, "--config", str(cfg_path), "--out", str(out)]
+    if command == "eval":
+        ckpt = tmp_path / "w.ralw"
+        save_checkpoint(ckpt, Network(build_classifier(16, (2, 4, 2)), seed=0))
+        args += ["--checkpoint", str(ckpt)]
+    assert main(args) == 1
+    assert re.search(message, capsys.readouterr().err, re.M)
+    assert sorted(p.name for p in out.iterdir()) == ["error.log"]
+
+
+def add_slide(path, pixels):
+    (save_ralt if path.suffix == ".ralt" else save_image)(path, pixels)
+
+
+class TestSlideLayout:
+    # a flat dataset of 3 RGB .ppm slides per class, plus one more slide
+    @pytest.mark.parametrize("command", ["ral", "eval"])
+    @pytest.mark.parametrize("extra, shape, message", [
+        ("Normal/Normal9.pgm", (32, 32, 1),  # sorts after every .ppm
+         r"Normal9\.pgm: slide has 1 channels, but the dataset's first slide has 3$"),
+        ("Benign/A.pgm", (32, 32, 1),  # sorts first
+         r"Benign0\.ppm: slide has 3 channels, but the dataset's first slide has 1$"),
+        ("Benign/Benign9.ralt", (32, 32),
+         r"Benign9\.ralt: slide shape \(32, 32\) is not HxWxC, C > 0$"),
+        ("Benign/Benign9.ralt", (32, 32, 0),
+         r"Benign9\.ralt: slide shape \(32, 32, 0\) is not HxWxC, C > 0$"),
+    ])
+    def test_flat_dataset(self, tmp_path, capsys, command, extra, shape, message):
+        cfg_path, cfg = tiny_config(tmp_path)
+        root = Path(cfg["dataset_path"])
+        write_flat_dataset(root, 3)
+        add_slide(root / extra, np.full(shape, 0.5, np.float32))
+        fails_leaving_only_the_error_log(cfg_path, command, tmp_path, capsys, message)
+
+    @pytest.mark.parametrize("command", ["ral", "eval"])
+    def test_validation_split_keeps_the_training_channels(self, tmp_path, capsys, command):
+        cfg_path, cfg = tiny_config(tmp_path)
+        main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
+        val = next(p for p in (Path(cfg["dataset_path"]) / "val").iterdir() if p.is_dir())
+        add_slide(val / "zz.pgm", np.full((32, 32, 1), 0.5, np.float32))
+        fails_leaving_only_the_error_log(
+            cfg_path, command, tmp_path, capsys,
+            r"zz\.pgm: slide has 1 channels, but the dataset's first slide has 3$")
+
+
+class TestWindow:
+    def test_undivided_slides_fail_before_training(self, tmp_path, capsys, monkeypatch):
+        cfg_path, cfg = tiny_config(tmp_path)
+        write_flat_dataset(Path(cfg["dataset_path"]), 3, size=40)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained on slides that the window does not divide")
+
+        monkeypatch.setattr("ral.loop.initial_train", no_training)
+        fails_leaving_only_the_error_log(cfg_path, "ral", tmp_path, capsys,
+                                         r"slide \w+ is 40x40, not divisible by window 16$")
+
+
+@pytest.mark.parametrize("command", ["tile", "train", "ral", "eval"])
+def test_dataset_path_is_required(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"tiling": {"window": 16, "stride": 16},
+                                    "network": {"channel_plan": [2, 4, 2]}}))
+    fails_leaving_only_the_error_log(
+        cfg_path, command, tmp_path, capsys,
+        r"^ral: error: config\.dataset_path is required for this command$")
 
 
 class TestCheckpointClasses:

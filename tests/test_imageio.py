@@ -1,16 +1,21 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
-from ral.imageio import ImageFormatError, load_image, save_image, save_ralt
+from ral.imageio import (ImageFormatError, load_image, pack_tensor, save_image, save_ralt,
+                         unpack_tensor)
 
 
 def test_ralt_round_trip_bit_identical(tmp_path):
     rng = np.random.default_rng(0)
-    t = rng.standard_normal((3, 5, 2)).astype(np.float32)
-    path = save_ralt(tmp_path / "t.ralt", t)
-    back = load_image(path)
-    assert back.dtype == np.float32
-    np.testing.assert_array_equal(back, t)
+    for shape in [(3, 5, 2), (), (2, 0)]:
+        t = rng.standard_normal(shape).astype(np.float32)
+        path = save_ralt(tmp_path / "t.ralt", t)
+        back = load_image(path)
+        assert back.dtype == np.float32 and back.shape == shape
+        np.testing.assert_array_equal(back, t)
 
 
 def test_pgm_known_bytes(tmp_path):
@@ -45,13 +50,42 @@ def test_truncated_pixmap_names_missing_bytes(tmp_path):
         load_image(path)
 
 
+def record_ends(shape, start):
+    """Where the rank, the dims and the data of a record at ``start`` end."""
+    dims_end = start + 4 + 4 * len(shape)
+    return [start + 4, dims_end, dims_end + 4 * math.prod(shape)]
+
+
 def test_truncated_ralt_names_missing_bytes(tmp_path):
-    t = np.ones((2, 2), dtype=np.float32)
-    path = save_ralt(tmp_path / "t.ralt", t)
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-6])
-    with pytest.raises(ImageFormatError, match="more bytes"):
-        load_image(path)
+    path = tmp_path / "cut.ralt"
+    for shape in [(2, 2), (), (3, 0, 2), (1, 2, 3)]:
+        blob = save_ralt(tmp_path / "t.ralt", np.ones(shape, np.float32)).read_bytes()
+        ends = record_ends(shape, 4)
+        assert ends[-1] == len(blob)
+        for cut in range(4, len(blob)):  # every cut past the magic
+            path.write_bytes(blob[:cut])
+            missing = min(e for e in ends if e > cut) - cut
+            with pytest.raises(ImageFormatError,
+                               match=f"truncated reading tensor .* need {missing} more bytes$"):
+                load_image(path)
+
+
+def test_record_bytes_are_rank_dims_and_little_endian_floats():
+    t = np.array([[1.0, -2.0, 0.5]], dtype=np.float64)
+    assert pack_tensor(t) == struct.pack("<3I3f", 2, 1, 3, 1.0, -2.0, 0.5)
+    assert pack_tensor(np.float32(7.0)) == struct.pack("<If", 0, 7.0)
+
+
+def test_records_read_back_to_back():
+    tensors = [np.arange(6, dtype=np.float32).reshape(2, 3), np.float32(7.0),
+               np.zeros((2, 0)), np.full((1, 2, 1), 0.25)]
+    blob = b"".join(map(pack_tensor, tensors)) + b"tail"
+    off = 0
+    for t in tensors:
+        back, off = unpack_tensor(blob, off, "blob", "tensor")
+        assert back.shape == np.shape(t)
+        np.testing.assert_array_equal(back, t)
+    assert blob[off:] == b"tail"
 
 
 def test_unknown_magic_rejected_with_offset(tmp_path):

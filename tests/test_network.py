@@ -1,3 +1,6 @@
+import json
+import re
+import struct
 import sys
 import threading
 import time
@@ -5,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from ral.imageio import save_ralt
 from ral.nn import (LayerSpec, Network, NetworkSpec, TRUNK_SLICE,
                     build_classifier, load_checkpoint, save_checkpoint,
                     softmax)
@@ -259,9 +263,48 @@ def test_truncated_checkpoint_reports_missing_bytes(tmp_path):
     net = Network(build_classifier(8, (2, 4, 2)), seed=12)
     path = save_checkpoint(tmp_path / "model.ralw", net)
     blob = path.read_bytes()
-    path.write_bytes(blob[:-10])
-    with pytest.raises(ValueError, match="truncated"):
-        load_checkpoint(path)
+    ends = [4, 12]  # magic, then version and count; then rank, dims, data per tensor
+    for p in net.parameters():
+        ends += [ends[-1] + 4, ends[-1] + 4 + 4 * p.ndim, ends[-1] + 4 + 4 * p.ndim + 4 * p.size]
+    assert ends[-1] == len(blob)
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        missing = min(e for e in ends if e > cut) - cut
+        with pytest.raises(ValueError, match=f"truncated reading .* need {missing} more bytes$"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_tensors_are_the_records_of_ralt_files(tmp_path):
+    net = Network(build_classifier(8, (2, 4, 2)), seed=11)
+    blob = save_checkpoint(tmp_path / "model.ralw", net).read_bytes()
+    off = 12  # magic, version, count
+    for i, p in enumerate(net.parameters()):
+        record = save_ralt(tmp_path / f"p{i}.ralt", p).read_bytes()[4:]
+        assert blob[off:off + len(record)] == record
+        off += len(record)
+    assert off == len(blob)
+
+
+def test_checkpoint_header_and_spec_mismatches_keep_their_messages(tmp_path):
+    net = Network(build_classifier(8, (2, 4, 2)), seed=13)
+    path = save_checkpoint(tmp_path / "model.ralw", net)
+    blob, count = path.read_bytes(), len(net.parameters())
+
+    def fails(data, message):
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_checkpoint(path)
+
+    fails(b"RALX" + blob[4:], "bad magic at byte 0 (expected b'RALW')")
+    fails(blob[:4] + struct.pack("<I", 2) + blob[8:], "unsupported format version 2")
+    fails(blob[:8] + struct.pack("<I", count - 1) + blob[12:],
+          f"checkpoint has {count - 1} tensors, spec needs {count}")
+    # a spec with the same tensor count and a wider first block
+    other = build_classifier(8, (3, 4, 2))
+    path.with_suffix(".json").write_text(json.dumps(other.to_dict()))
+    first = net.parameters()[0].shape
+    fails(blob, f"tensor shape {first} does not match spec shape "
+                f"{Network(other, seed=0).parameters()[0].shape}")
 
 
 class Gathers:
