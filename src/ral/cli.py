@@ -9,8 +9,8 @@
 
 All state flows through the config file and flags; no environment
 variables. --seed and --out override the config's seed and output_dir.
-Commands never write into the dataset directory, and an output directory
-is locked for the duration of a run.
+``main`` loads the config and locks the output directory once, for the
+whole of every command. Commands never write into the dataset directory.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .config import ExperimentConfig
-from .dataset import class_names_of, require_splits
+from .dataset import class_names_of, load_slide, require_splits
 from .experiment import build_network_for, run_experiment
-from .imageio import load_image, save_image
+from .imageio import save_image
 from .loop import initial_train
 from .nn import load_checkpoint, save_checkpoint
-from .patches import VARIANTS, SlideImage, build_manifest, build_training_set, manifest_to_dicts
+from .patches import VARIANTS, build_manifest, build_training_set, manifest_to_dicts
 from .slices import evaluate_slides, predict_slide, render_class_map
 from .synth import generate, write_dataset
 
@@ -90,56 +90,39 @@ def output_lock(out_dir: Path):
 
 def _resolve(args):
     config = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.output_dir = args.out
+    flags = {"seed": args.seed, "output_dir": args.out}
+    config = replace(config, **{k: v for k, v in flags.items() if v is not None})
     return config, Path(config.output_dir)
 
 
-def _error_dir(args):
-    """The resolved output directory, or --out when the config does not load."""
-    with contextlib.suppress(Exception):
-        return _resolve(args)[1]
-    return Path(args.out)
-
-
-def cmd_generate(args):
-    config, out = _resolve(args)
-    with output_lock(out):
-        ds = generate(config.synthetic.build(config.seed))
-        write_dataset(ds, out)
-        n_mis = int(ds.oracle.mislabeled(ds.oracle.entries).sum())
-        print(f"generated {len(ds.train_slides)} train + {len(ds.val_slides)} val slides "
-              f"({', '.join(ds.class_names)}) with {n_mis}/{len(ds.oracle)} "
-              f"mislabeled patch groups -> {out}")
+def cmd_generate(args, config, out):
+    ds = generate(config.synthetic.build(config.seed))
+    write_dataset(ds, out)
+    n_mis = int(ds.oracle.mislabeled(ds.oracle.entries).sum())
+    print(f"generated {len(ds.train_slides)} train + {len(ds.val_slides)} val slides "
+          f"({', '.join(ds.class_names)}) with {n_mis}/{len(ds.oracle)} "
+          f"mislabeled patch groups -> {out}")
     return 0
 
 
-def cmd_tile(args):
+def cmd_tile(args, config, out):
     """Plan the training-set tiling and write it as a patch manifest."""
-    config, out = _resolve(args)
     train_slides, val_slides, class_names, _ = config.load_dataset()
     manifest = build_manifest(train_slides, config.tiling, class_names)
-    with output_lock(out):
-        (out / "manifest.json").write_text(
-            json.dumps(manifest_to_dicts(manifest), indent=1) + "\n")
+    (out / "manifest.json").write_text(json.dumps(manifest_to_dicts(manifest), indent=1) + "\n")
     print(f"tiled {len(train_slides)} training slides ({len(val_slides)} held out): "
           f"{len(manifest) // VARIANTS} patch groups, {len(manifest)} augmented records "
           f"-> {out / 'manifest.json'}")
     return 0
 
 
-def cmd_train(args):
-    config, out = _resolve(args)
+def cmd_train(args, config, out):
     train_slides, _, class_names, _ = config.load_dataset()
     ts = build_training_set(train_slides, config.tiling, class_names)
     net = build_network_for(config, class_names, train_slides[0].pixels.shape[2])
-    with output_lock(out):
-        log = initial_train(net, ts, replace(config.ral, seed=config.seed))
-        save_checkpoint(out / "checkpoint.ralw", net)
-        (out / "train_log.json").write_text(
-            json.dumps([asdict(s) for s in log], indent=1) + "\n")
+    log = initial_train(net, ts, replace(config.ral, seed=config.seed))
+    save_checkpoint(out / "checkpoint.ralw", net)
+    (out / "train_log.json").write_text(json.dumps([asdict(s) for s in log], indent=1) + "\n")
     last = log[-1] if log else None
     print(f"trained {len(log)} epochs on {ts.n_active} records"
           + (f" (final loss {last.loss:.4f}, acc {last.accuracy:.3f})" if last else "")
@@ -147,10 +130,8 @@ def cmd_train(args):
     return 0
 
 
-def cmd_ral(args):
-    config, out = _resolve(args)
-    with output_lock(out):
-        output = run_experiment(config, out)
+def cmd_ral(args, config, out):
+    output = run_experiment(config, out)
     for r in output.result.reports:
         print(f"k={r.k}: active {r.active_before} -> {r.active_after} "
               f"(-{r.removed_by_confidence} confidence, -{r.removed_by_group} group) "
@@ -173,39 +154,33 @@ def _require_classes(net, class_names, checkpoint):
                          f"but the dataset has {len(class_names)}")
 
 
-def cmd_eval(args):
-    config, out = _resolve(args)
+def cmd_eval(args, config, out):
     net = load_checkpoint(args.checkpoint)
     train_slides, val_slides, class_names, _ = config.load_dataset()
     require_splits(train_slides, val_slides)
     _require_classes(net, class_names, args.checkpoint)
     summary = {split: evaluate_slides(net, slides, config.tiling.window, class_names)
                for split, slides in (("train", train_slides), ("val", val_slides))}
-    with output_lock(out):
-        (out / "eval.json").write_text(json.dumps(summary, indent=1) + "\n")
+    (out / "eval.json").write_text(json.dumps(summary, indent=1) + "\n")
     for split, row in summary.items():
         print(f"{split}: patch {row['patch_acc']:.2f}% slice {row['slice_acc']:.2f}%")
     return 0
 
 
-def cmd_predict_slide(args):
-    config, out = _resolve(args)
+def cmd_predict_slide(args, config, out):
     net = load_checkpoint(args.checkpoint)
-    pixels = load_image(args.image)
-    slide_id = Path(args.image).stem
     if config.dataset_path and Path(config.dataset_path).is_dir():
         class_names = class_names_of(config.dataset_path)
     else:
         class_names = [f"class{i}" for i in range(net.spec.classes)]
     _require_classes(net, class_names, args.checkpoint)
-    slide = SlideImage(slide_id, class_names[0], pixels)
+    slide = load_slide(args.image, class_names[0], net.spec.input[2],
+                       f"the input of checkpoint {args.checkpoint}")
     pred = predict_slide(net, slide, config.tiling.window)
-    with output_lock(out):
-        map_path = out / f"classmap_{slide_id}.ppm"
-        save_image(map_path, render_class_map(pred, class_names,
-                                              cell_size=config.tiling.window))
+    map_path = out / f"classmap_{slide.slide_id}.ppm"
+    save_image(map_path, render_class_map(pred, class_names, cell_size=config.tiling.window))
     counts = ", ".join(f"{class_names[c]}:{n}" for c, n in sorted(pred.vote_counts.items()))
-    print(f"{slide_id}: {class_names[pred.voted_label]} "
+    print(f"{slide.slide_id}: {class_names[pred.voted_label]} "
           f"(votes {counts}{', tie broken' if pred.tie_broken else ''}) -> {map_path}")
     return 0
 
@@ -241,15 +216,18 @@ def build_parser():
 def main(argv=None):
     keep_freed_memory()
     args = build_parser().parse_args(argv)
+    out = args.out  # where error.log goes when the config does not load
     try:
-        return COMMANDS[args.command](args)
+        config, out = _resolve(args)
+        with output_lock(out):
+            return COMMANDS[args.command](args, config, out)
     except Exception as e:
         print(f"ral: error: {e}", file=sys.stderr)
         if isinstance(e, OutputLocked):  # leave the holder's directory as it is
             return 1
         detail = None
         with contextlib.suppress(Exception):
-            out = _error_dir(args)
+            out = Path(out)
             out.mkdir(parents=True, exist_ok=True)
             (out / "error.log").write_text(traceback.format_exc())
             detail = out / "error.log"

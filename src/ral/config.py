@@ -12,8 +12,8 @@ The ``tiling``, ``ral`` and ``synthetic`` sections are the library's own
 setting is declared once, with one default, and checked when the config
 loads; ``RalConfig`` and ``SynthSpec`` take the top-level seed. ``network``
 is a section of its own: ``network_spec`` builds the classifier from it,
-the window, the channel and class counts, and the load builds one to check
-that the section fits the window.
+the window, the channel and class counts. Building a config, by ``load``
+or ``replace``, checks the seed and that the network section fits the window.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 from .dataset import load_dataset
 from .loop import RalConfig
 from .nn import build_classifier
-from .patches import TilingSpec
+from .patches import TilingSpec, require_count
 from .synth import SynthSpec
 
 
@@ -71,17 +71,19 @@ class ExperimentConfig:
     ral: RalConfig = field(default_factory=RalConfig)
     synthetic: SynthSpec = field(default_factory=SynthSpec)
 
+    def __post_init__(self):
+        require_count(self.seed, "seed", 0)
+        self.network_spec()
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
+
     @staticmethod
     def from_dict(d):
         # the sections are the fields built by a default_factory
         d = _object(d, "experiment")
         sections = {f.name: _take(d.get(f.name, {}), f.name, f.default_factory)
                     for f in fields(ExperimentConfig) if f.default_factory is not MISSING}
-        cfg = _take({**d, **sections}, "experiment", ExperimentConfig)
-        cfg.network_spec()
-        if not 0.0 < cfg.val_fraction < 1.0:
-            raise ValueError(f"val_fraction must be in (0, 1), got {cfg.val_fraction}")
-        return cfg
+        return _take({**d, **sections}, "experiment", ExperimentConfig)
 
     @staticmethod
     def load(path):

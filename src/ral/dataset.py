@@ -6,8 +6,9 @@ Two layouts are accepted:
     root/{train,val}/<class>/<slide>.{...}         (pre-split)
 
 Every slide of a dataset, in both splits, is HxWxC with one C: the first
-slide's. An ``oracle.json`` at the root, when present, carries mislabel
-ground truth for synthetic data.
+slide's (``load_slide``, which reads ``ral predict-slide``'s image too).
+An ``oracle.json`` at the root, when present, carries mislabel ground
+truth for synthetic data.
 """
 
 from __future__ import annotations
@@ -21,26 +22,37 @@ from .synth import MislabelOracle
 IMAGE_SUFFIXES = (".ppm", ".pgm", ".ralt")
 
 
+def _class_dirs(base):
+    names = sorted(p.name for p in base.iterdir() if p.is_dir())
+    if not names:
+        raise ValueError(f"{base}: no class directories found")
+    return names
+
+
+def load_slide(path, class_label, channels=None, source="the dataset's first slide"):
+    """The slide in image file ``path``; raises unless it is HxWxC with C > 0
+    and, given ``channels``, C is the ``channels`` that ``source`` has."""
+    path = Path(path)
+    pixels = load_image(path)
+    if pixels.ndim != 3 or not pixels.shape[2]:
+        raise ValueError(f"{path}: slide shape {pixels.shape} is not HxWxC, C > 0")
+    if channels and pixels.shape[2] != channels:
+        raise ValueError(f"{path}: slide has {pixels.shape[2]} channels, but {source} "
+                         f"has {channels}")
+    return SlideImage(path.stem, class_label, pixels)
+
+
 def _load_class_dirs(root, channels=None):
-    root = Path(root)
     slides = []
-    class_names = sorted(p.name for p in root.iterdir() if p.is_dir())
-    if not class_names:
-        raise ValueError(f"{root}: no class directories found")
+    class_names = _class_dirs(root)
     for cname in class_names:
         files = sorted(p for p in (root / cname).iterdir()
                        if p.suffix in IMAGE_SUFFIXES)
         if not files:
             raise ValueError(f"{root / cname}: no slide images found")
         for f in files:
-            pixels = load_image(f)
-            if pixels.ndim != 3 or not pixels.shape[2]:
-                raise ValueError(f"{f}: slide shape {pixels.shape} is not HxWxC, C > 0")
-            channels = channels or pixels.shape[2]
-            if pixels.shape[2] != channels:
-                raise ValueError(f"{f}: slide has {pixels.shape[2]} channels, but the "
-                                 f"dataset's first slide has {channels}")
-            slides.append(SlideImage(f.stem, cname, pixels))
+            slides.append(load_slide(f, cname, channels))
+            channels = slides[-1].pixels.shape[2]
     return slides, class_names
 
 
@@ -56,11 +68,7 @@ def require_splits(train, val):
 def class_names_of(root):
     """Class directory names without loading any pixel data."""
     root = Path(root)
-    base = root / "train" if (root / "train").is_dir() else root
-    names = sorted(p.name for p in base.iterdir() if p.is_dir())
-    if not names:
-        raise ValueError(f"{root}: no class directories found")
-    return names
+    return _class_dirs(root / "train" if (root / "train").is_dir() else root)
 
 
 def load_dataset(root, val_fraction=0.2, seed=0):

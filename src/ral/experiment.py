@@ -31,10 +31,7 @@ from .synth import oracle_eval
 @dataclass
 class ExperimentOutput:
     result: object            # RalResult
-    net: object
-    class_names: list
     oracle_metrics: object    # OracleMetrics or None
-    out_dir: Path
 
 
 def build_network_for(config: ExperimentConfig, class_names, in_channels):
@@ -91,7 +88,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, write=True):
         write_tables(out, result)
         write_audit(out, result)
         save_checkpoint(out / "checkpoint.ralw", net)
-    return ExperimentOutput(result, net, class_names, oracle_metrics, out)
+    return ExperimentOutput(result, oracle_metrics)
 
 
 def write_report(out, config, class_names, result, oracle_metrics):

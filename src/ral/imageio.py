@@ -39,7 +39,9 @@ def load_image(path):
     path = Path(path)
     blob = path.read_bytes()
     if blob[:4] == RALT_MAGIC:
-        return unpack_tensor(blob, 4, str(path), "tensor")[0].astype(np.float32)
+        tensor, end = unpack_tensor(blob, 4, str(path), "tensor")
+        need_end(blob, end, str(path))
+        return tensor.astype(np.float32)
     if blob[:2] in (b"P5", b"P6"):
         return _decode_pixmap(blob, str(path))
     raise ImageFormatError(f"{path}: unknown magic {blob[:4]!r} at byte 0")
@@ -91,6 +93,13 @@ def need_bytes(blob, off, n, name, what):
     if off + n > len(blob):
         raise ImageFormatError(f"{name}: truncated reading {what} at byte {off}: "
                                f"need {off + n - len(blob)} more bytes")
+
+
+def need_end(blob, off, name):
+    """Raise unless the last record of ``blob`` ends at ``off``, its end."""
+    if off != len(blob):
+        raise ImageFormatError(f"{name}: {len(blob) - off} extra bytes after the last "
+                               f"record at byte {off}")
 
 
 def unpack_tensor(blob, off, name, what):

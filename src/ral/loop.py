@@ -17,7 +17,7 @@ import numpy as np
 
 from .metrics import macro_accuracy
 from .nn import Adam
-from .patches import TrainingSet, VARIANTS
+from .patches import TrainingSet, VARIANTS, require_count
 
 
 @dataclass
@@ -48,14 +48,11 @@ class RalConfig:
         if not 0.0 <= self.tau < 1.0:
             raise ValueError(f"tau must be in [0, 1), got {self.tau}")
         for name in ("group_threshold", "iterations", "max_epochs", "finetune_epochs"):
-            value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 0):
-                raise ValueError(f"{name} must be a non-negative integer, got {value}")
+            require_count(getattr(self, name), name, 0)
         if self.group_threshold > VARIANTS:
             raise ValueError(f"group_threshold must be at most {VARIANTS}, "
                              f"got {self.group_threshold}")
-        if not (isinstance(self.batch_size, int) and self.batch_size > 0):
-            raise ValueError(f"batch_size must be a positive integer, got {self.batch_size}")
+        require_count(self.batch_size, "batch_size")
         # learning_rate 0 is allowed: it freezes the weights
         if not self.learning_rate >= 0.0:
             raise ValueError(f"learning_rate must be non-negative, got {self.learning_rate}")

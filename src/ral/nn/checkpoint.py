@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..imageio import need_bytes, pack_tensor, unpack_tensor
+from ..imageio import need_bytes, need_end, pack_tensor, unpack_tensor
 from .network import Network, NetworkSpec
 
 MAGIC = b"RALW"
@@ -38,7 +38,11 @@ def save_checkpoint(path, net: Network):
 
 def load_checkpoint(path):
     path = Path(path)
-    spec = NetworkSpec.from_dict(json.loads(spec_path_for(path).read_text()))
+    try:
+        spec = NetworkSpec.from_dict(json.loads(spec_path_for(path).read_text()))
+        net = Network._unfilled(spec, np.float32)
+    except (ValueError, KeyError, IndexError, TypeError) as e:
+        raise ValueError(f"{spec_path_for(path)}: malformed network spec ({e!r})") from e
     blob = path.read_bytes()
     need_bytes(blob, 0, 4, path, "magic")
     if blob[:4] != MAGIC:
@@ -47,7 +51,6 @@ def load_checkpoint(path):
     version, count = struct.unpack_from("<II", blob, 4)
     if version != VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
-    net = Network._unfilled(spec, np.float32)
     params = net.parameters()
     if count != len(params):
         raise ValueError(f"{path}: checkpoint has {count} tensors, spec needs {len(params)}")
@@ -57,4 +60,5 @@ def load_checkpoint(path):
         if p.shape != t.shape:
             raise ValueError(f"{path}: tensor shape {t.shape} does not match spec shape {p.shape}")
         p[...] = t
+    need_end(blob, off, path)
     return net

@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..patches import is_count
 from .layers import Conv2d, Dense, GlobalAvgPool, MaxPool2x2, training
 from .loss import softmax, softmax_cross_entropy_batch
 
@@ -88,24 +89,18 @@ class NetworkSpec:
 
 
 def _shape_after(ls, in_shape):
+    if ls.kind == "dense":  # flattens whatever it gets
+        return (ls.channels,)
+    if len(in_shape) != 3:
+        raise ValueError(f"{ls.kind} needs a spatial input, got shape {in_shape}")
+    h, w, c = in_shape
     if ls.kind == "conv":
-        if len(in_shape) != 3:
-            raise ValueError(f"conv needs a spatial input, got shape {in_shape}")
-        h, w, c = in_shape
         return (h, w, ls.channels)
-    if ls.kind == "maxpool":
-        if len(in_shape) != 3:
-            raise ValueError(f"maxpool needs a spatial input, got shape {in_shape}")
-        h, w, c = in_shape
-        if h % 2 or w % 2:
-            raise ValueError(f"odd spatial dims {h}x{w} reach a 2x2 pool")
-        return (h // 2, w // 2, c)
     if ls.kind == "avgpool":
-        if len(in_shape) != 3:
-            raise ValueError(f"avgpool needs a spatial input, got shape {in_shape}")
-        return (in_shape[2],)
-    # dense flattens whatever it gets
-    return (ls.channels,)
+        return (c,)
+    if h % 2 or w % 2:
+        raise ValueError(f"odd spatial dims {h}x{w} reach a 2x2 pool")
+    return (h // 2, w // 2, c)
 
 
 def build_classifier(input_size, channel_plan=(128, 256, 128), in_channels=3,
@@ -125,7 +120,7 @@ def build_classifier(input_size, channel_plan=(128, 256, 128), in_channels=3,
         raise ValueError("channel_plan must have three block widths")
     c1, c2, c3 = channel_plan
     stem = stem_channels if stem_channels is not None else c1
-    if not all(isinstance(c, int) and c > 0 for c in (stem, c1, c2, c3)):
+    if not all(map(is_count, (stem, c1, c2, c3))):
         raise ValueError(f"channel widths must be positive integers, got channel_plan "
                          f"{list(channel_plan)} and stem_channels {stem_channels}")
     conv = lambda k, c: LayerSpec("conv", k, c, "relu")
@@ -143,9 +138,6 @@ def build_classifier(input_size, channel_plan=(128, 256, 128), in_channels=3,
     spec.validate()
     return spec
 
-
-# Index range of the 11-layer extraction trunk inside build_classifier's layout.
-TRUNK_SLICE = slice(2, 13)
 
 # Samples in flight per predict_proba pass, for the scoring pass, a
 # slide's grid and a whole evaluation split alike: one chunk of 64 per

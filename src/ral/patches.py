@@ -18,6 +18,18 @@ import numpy as np
 VARIANTS = 8
 
 
+def is_count(value, minimum=1):
+    """Is ``value`` an integer of at least ``minimum``; a bool is no count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+def require_count(value, what, minimum=1):
+    """Raise unless ``is_count(value, minimum)``; ``minimum`` is 1 or 0."""
+    if not is_count(value, minimum):
+        kind = "positive" if minimum else "non-negative"
+        raise ValueError(f"{what} must be a {kind} integer, got {value}")
+
+
 @dataclass(frozen=True)
 class TilingSpec:
     """The training-set tiling: the config file's ``tiling`` section."""
@@ -25,10 +37,8 @@ class TilingSpec:
     stride: int = 32
 
     def __post_init__(self):
-        for name in ("window", "stride"):
-            value = getattr(self, name)
-            if not (isinstance(value, int) and value > 0):
-                raise ValueError(f"tiling {name} must be a positive integer, got {value}")
+        require_count(self.window, "tiling window")
+        require_count(self.stride, "tiling stride")
         if self.stride > self.window:
             raise ValueError(f"stride {self.stride} exceeds window {self.window}")
 

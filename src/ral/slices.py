@@ -166,24 +166,6 @@ def render_class_map(prediction: SlidePrediction, class_names, cell_size=32):
     return cells.repeat(cell_size, axis=1).repeat(cell_size, axis=0)
 
 
-def slice_accuracy(predictions, truth_labels, n_classes):
-    """(macro %, plain %) of voted labels against per-slide truth.
-
-    ``truth_labels`` maps slide_id to a class index; an unmatched
-    prediction is an error, not a skip.
-    """
-    if not predictions:
-        raise ValueError("no slide predictions to score")
-    y_true, y_pred = [], []
-    for p in predictions:
-        if p.slide_id not in truth_labels:
-            raise ValueError(f"unknown slide_id {p.slide_id!r} in predictions")
-        y_true.append(truth_labels[p.slide_id])
-        y_pred.append(p.voted_label)
-    return (macro_accuracy(y_true, y_pred, n_classes),
-            plain_accuracy(y_true, y_pred))
-
-
 def evaluate_slides(net, slides, window, class_names):
     """Patch and slide accuracy of labeled slides, from one grid pass over
     all their cells.
@@ -194,10 +176,10 @@ def evaluate_slides(net, slides, window, class_names):
     """
     n = len(class_names)
     preds = predict_slides(net, slides, window)
-    truth = {s.slide_id: class_names.index(s.class_label) for s in slides}
-    cell_truth = np.concatenate([np.full(p.patch_labels.size, truth[p.slide_id])
-                                 for p in preds])
+    truth = [class_names.index(s.class_label) for s in slides]
+    voted = [p.voted_label for p in preds]
+    cell_truth = np.repeat(truth, [p.patch_labels.size for p in preds])
     cell_pred = np.concatenate([p.patch_labels.ravel() for p in preds])
-    macro_slice, plain_slice = slice_accuracy(preds, truth, n)
     return {"patch_acc": macro_accuracy(cell_truth, cell_pred, n),
-            "slice_acc": macro_slice, "slice_acc_plain": plain_slice}
+            "slice_acc": macro_accuracy(truth, voted, n),
+            "slice_acc_plain": plain_accuracy(truth, voted)}

@@ -25,7 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .imageio import save_image
-from .patches import SlideImage, _round_half_up, make_group_id, split_slides
+from .patches import (SlideImage, _round_half_up, is_count, make_group_id, require_count,
+                      split_slides)
 
 DEFAULT_CLASS_NAMES = ("Normal", "Benign", "InSitu", "Invasive")
 
@@ -55,16 +56,14 @@ class SynthSpec:
     def __post_init__(self, seed):
         self.seed = seed  # kept, so that dataclasses.replace keeps it too
         for name in ("classes", "window", "slides_per_class"):
-            value = getattr(self, name)
-            if not (isinstance(value, int) and value > 0):
-                raise ValueError(f"generator {name} must be a positive integer, got {value}")
+            require_count(getattr(self, name), f"generator {name}")
         if self.stride != self.window:
             raise ValueError(
                 f"generator stride ({self.stride}) must equal the window "
                 f"({self.window}): contaminated regions must coincide with "
                 f"tiling cells for the oracle to be exact")
         h, w = self.slide_size
-        if not all(isinstance(d, int) and d > 0 for d in (h, w)):
+        if not (is_count(h) and is_count(w)):
             raise ValueError(f"generator slide_size must be two positive integers, got {[h, w]}")
         if h % self.window or w % self.window:
             raise ValueError(f"slide size {w}x{h} not divisible by window {self.window}")

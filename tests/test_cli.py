@@ -104,6 +104,26 @@ NON_DEFAULT_CONFIG = {
 }
 
 
+# every count key, and each entry of the list-valued ones, set to true
+BOOL_COUNTS = [
+    *[("tiling", k, True, f"tiling {k} must be a positive integer, got True")
+      for k in ("window", "stride")],
+    *[("ral", k, True, f"{k} must be a non-negative integer, got True")
+      for k in ("group_threshold", "iterations", "max_epochs", "finetune_epochs")],
+    ("ral", "batch_size", True, "batch_size must be a positive integer, got True"),
+    *[("synthetic", k, True, f"generator {k} must be a positive integer, got True")
+      for k in ("classes", "window", "slides_per_class")],
+    *[("synthetic", "slide_size", size,
+       f"generator slide_size must be two positive integers, got {size}")
+      for size in ([True, 32], [32, True])],
+    *[("network", "channel_plan", plan, f"channel widths must be positive integers, "
+                                        f"got channel_plan {plan} and stem_channels None")
+      for plan in ([True, 2, 2], [2, True, 2], [2, 2, True])],
+    ("network", "stem_channels", True, "channel widths must be positive integers, "
+                                       "got channel_plan [8, 16, 8] and stem_channels True"),
+]
+
+
 def leaves(d, prefix=""):
     for k, v in d.items():
         if isinstance(v, dict):
@@ -254,6 +274,33 @@ class TestConfig:
             assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
             assert f"ral: error: {message}" in capsys.readouterr().err
             assert [p.name for p in out.iterdir()] == ["error.log"]
+
+    @pytest.mark.parametrize("section, key, value, message", BOOL_COUNTS,
+                             ids=[f"{s}.{k}" for s, k, _, _ in BOOL_COUNTS])
+    def test_a_bool_is_no_count(self, section, key, value, message):
+        # true in JSON is a Python bool, and a bool is an int
+        value = json.loads(json.dumps(value))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize("seed, flag", [(-1, None), (1.5, None), (True, None),
+                                            ("x", None), (0, "-1")])
+    def test_bad_seed_fails_before_the_dataset_loads(self, tmp_path, capsys, monkeypatch,
+                                                     seed, flag):
+        def no_load(*args, **kwargs):
+            raise AssertionError("loaded the dataset of a run with a bad seed")
+
+        monkeypatch.setattr(ExperimentConfig, "load_dataset", no_load)
+        cfg_path, cfg = tiny_config(tmp_path)
+        cfg["seed"] = seed
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["ral", "--config", str(cfg_path), "--out", str(out)]
+                    + (["--seed", flag] if flag else [])) == 1
+        shown = flag or seed
+        assert (f"ral: error: seed must be a non-negative integer, got {shown}\n"
+                in capsys.readouterr().err)
+        assert [p.name for p in out.iterdir()] == ["error.log"]
 
     @pytest.mark.parametrize("text, message", [
         ('{"ral": null}', "ral config must be a JSON object, got null"),
@@ -450,6 +497,30 @@ class TestLock:
         assert sorted(p.name for p in out.iterdir()) == [".lock"]
 
 
+    @pytest.mark.parametrize("command", ["generate", "tile", "train", "ral", "eval",
+                                         "predict-slide"])
+    def test_locked_output_dir_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} worked in a locked output dir")
+
+        for target in ("ral.cli.load_checkpoint", "ral.cli.generate",
+                       "ral.config.ExperimentConfig.load_dataset"):
+            monkeypatch.setattr(target, no_work)
+        cfg_path, cfg = tiny_config(tmp_path)
+        out = Path(cfg["output_dir"])
+        out.mkdir(parents=True)
+        (out / ".lock").write_text("4242\n")
+        args = [command, "--config", str(cfg_path)]
+        if command in ("eval", "predict-slide"):
+            args += ["--checkpoint", str(tmp_path / "w.ralw")]
+        if command == "predict-slide":
+            args += ["--image", str(tmp_path / "slide.ppm")]
+        assert main(args) == 1
+        assert "locked by another run (pid 4242)" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [".lock"]
+
+
 class TestAllocator:
     def test_freed_block_is_reused_without_faults(self):
         import ctypes
@@ -624,6 +695,50 @@ class TestCheckpointClasses:
         assert (f"checkpoint {ckpt} outputs {classes} classes, but the dataset has 4"
                 in capsys.readouterr().err)
         assert not list((tmp_path / "pred").glob("classmap_*"))
+
+
+class TestPredictSlideImage:
+    # the image follows the dataset's HxWxC rule, with the checkpoint's C
+    @pytest.mark.parametrize("name, shape, message", [
+        ("flat.ralt", (32, 32), "slide shape (32, 32) is not HxWxC, C > 0"),
+        ("gray.pgm", (32, 32, 1), "slide has 1 channels, but the input of checkpoint {} has 3"),
+    ], ids=["rank-2-ralt", "one-channel-pgm"])
+    def test_image_fails_naming_the_file(self, tmp_path, capsys, name, shape, message):
+        cfg_path, cfg = tiny_config(tmp_path)
+        ckpt = tmp_path / "w.ralw"
+        save_checkpoint(ckpt, Network(build_classifier(16, (2, 4, 2)), seed=0))
+        image = tmp_path / name
+        add_slide(image, np.full(shape, 0.5, np.float32))
+        out = tmp_path / "pred"
+        assert main(["predict-slide", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--image", str(image), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"ral: error: {image}: {message.format(ckpt)}\n" in err
+        assert [p.name for p in out.iterdir()] == ["error.log"]
+
+
+class TestMalformedCheckpointSpec:
+    @pytest.mark.parametrize("edit", ["no-layers", "unknown-layer-key", "list"])
+    def test_eval_fails_naming_the_spec_file(self, tmp_path, capsys, edit):
+        cfg_path, cfg = tiny_config(tmp_path)
+        main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
+        ckpt = save_checkpoint(tmp_path / "w.ralw",
+                               Network(build_classifier(16, (2, 4, 2)), seed=0))
+        spec_path = tmp_path / "w.json"
+        spec = json.loads(spec_path.read_text())
+        if edit == "no-layers":
+            del spec["layers"]
+        elif edit == "unknown-layer-key":
+            spec["layers"][0]["stride"] = 1
+        else:
+            spec = list(spec.values())
+        spec_path.write_text(json.dumps(spec))
+        capsys.readouterr()
+        out = tmp_path / "ev"
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 1
+        assert f"ral: error: {spec_path}: malformed network spec (" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["error.log"]
 
 
 class TestOracleMetrics:

@@ -70,6 +70,17 @@ def test_truncated_ralt_names_missing_bytes(tmp_path):
                 load_image(path)
 
 
+@pytest.mark.parametrize("shape", [(32, 32, 1), ()])
+def test_bytes_after_the_record_rejected(tmp_path, shape):
+    path = save_ralt(tmp_path / "t.ralt", np.full(shape, 0.5, np.float32))
+    blob = path.read_bytes()
+    for extra in range(1, 13):
+        path.write_bytes(blob + bytes(range(extra)))
+        with pytest.raises(ImageFormatError, match=f"{extra} extra bytes after the last "
+                                                   f"record at byte {len(blob)}$"):
+            load_image(path)
+
+
 def test_record_bytes_are_rank_dims_and_little_endian_floats():
     t = np.array([[1.0, -2.0, 0.5]], dtype=np.float64)
     assert pack_tensor(t) == struct.pack("<3I3f", 2, 1, 3, 1.0, -2.0, 0.5)

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from ral.imageio import save_ralt
-from ral.nn import (LayerSpec, Network, NetworkSpec, TRUNK_SLICE,
-                    build_classifier, load_checkpoint, save_checkpoint,
-                    softmax)
+from ral.nn import (LayerSpec, Network, NetworkSpec, build_classifier, load_checkpoint,
+                    save_checkpoint, softmax)
 from ral.nn import network
 from ral.nn.network import PREDICT_CHUNK
 
@@ -26,7 +25,7 @@ FULL_SCALE_TRUNK = [
 
 def test_full_scale_trunk_layout():
     spec = build_classifier(512, (128, 256, 128))
-    trunk = spec.layers[TRUNK_SLICE]
+    trunk = spec.layers[2:13]  # between the stem's pool and the global average pool
     assert [(l.kind, l.kernel, l.channels) for l in trunk] == FULL_SCALE_TRUNK
     # every conv in the assembly carries ReLU, pools and the head do not
     for l in spec.layers:
@@ -305,6 +304,42 @@ def test_checkpoint_header_and_spec_mismatches_keep_their_messages(tmp_path):
     first = net.parameters()[0].shape
     fails(blob, f"tensor shape {first} does not match spec shape "
                 f"{Network(other, seed=0).parameters()[0].shape}")
+
+
+def test_bytes_after_the_last_record_rejected(tmp_path):
+    net = Network(build_classifier(8, (2, 4, 2)), seed=14)
+    path = save_checkpoint(tmp_path / "model.ralw", net)
+    blob = path.read_bytes()
+    for extra in range(1, 13):
+        path.write_bytes(blob + bytes(range(extra)))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {extra} extra bytes "
+                                             f"after the last record at byte {len(blob)}$"):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", ["no-layers", "unknown-layer-key", "list", "no-layer",
+                                  "unknown-kind", "text-width"])
+def test_malformed_spec_fails_naming_its_file(tmp_path, edit):
+    path = save_checkpoint(tmp_path / "model.ralw",
+                           Network(build_classifier(8, (2, 4, 2)), seed=15))
+    spec_path = tmp_path / "model.json"
+    spec = json.loads(spec_path.read_text())
+    if edit == "no-layers":
+        del spec["layers"]
+    elif edit == "unknown-layer-key":
+        spec["layers"][0]["stride"] = 1
+    elif edit == "list":
+        spec = list(spec.values())
+    elif edit == "no-layer":
+        spec["layers"] = []
+    elif edit == "unknown-kind":
+        spec["layers"][0]["kind"] = "deconv"
+    else:
+        spec["layers"][0]["channels"] = "2"
+    spec_path.write_text(json.dumps(spec))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(spec_path))}: malformed network "
+                                         f"spec \\("):
+        load_checkpoint(path)
 
 
 class Gathers:

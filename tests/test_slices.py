@@ -7,8 +7,7 @@ from ral.nn import LayerSpec, Network, NetworkSpec, build_classifier
 from ral.nn.network import PREDICT_CHUNK
 from ral.patches import SlideImage
 from ral.slices import (SlideCells, class_color, evaluate_slides, majority_vote,
-                        predict_slide, predict_slides, render_class_map, slice_accuracy,
-                        SlidePrediction)
+                        predict_slide, predict_slides, render_class_map, SlidePrediction)
 
 CLASSES = ["Normal", "Benign", "InSitu", "Invasive"]
 
@@ -269,29 +268,31 @@ class TestRenderClassMap:
 
 
 class TestSliceAccuracy:
-    def make_pred(self, slide_id, label):
-        return SlidePrediction(slide_id, np.zeros((1, 1, 4)),
-                               np.zeros((1, 1), dtype=int), label, {}, False)
+    """``evaluate_slides``' slide scores, from given votes and slide labels."""
 
-    def test_all_correct(self):
-        preds = [self.make_pred(f"s{i}", i % 4) for i in range(8)]
-        truth = {f"s{i}": i % 4 for i in range(8)}
-        macro, plain = slice_accuracy(preds, truth, 4)
+    def slice_accuracy(self, monkeypatch, voted, truth):
+        slides = [SlideImage(f"s{i}", CLASSES[t], np.zeros((1, 1, 3), np.float32))
+                  for i, t in enumerate(truth)]
+        preds = [SlidePrediction(s.slide_id, np.zeros((1, 1, 4)), np.zeros((1, 1), dtype=int),
+                                 int(v), {}, False) for s, v in zip(slides, voted)]
+        monkeypatch.setattr("ral.slices.predict_slides", lambda net, s, window: preds)
+        row = evaluate_slides(None, slides, 1, CLASSES)
+        return row["slice_acc"], row["slice_acc_plain"]
+
+    def test_all_correct(self, monkeypatch):
+        labels = [i % 4 for i in range(8)]
+        macro, plain = self.slice_accuracy(monkeypatch, labels, labels)
         assert macro == 100.0 and plain == 100.0
 
-    def test_constant_predictor_on_balanced_classes(self):
-        preds = [self.make_pred(f"s{i}", 0) for i in range(8)]
-        truth = {f"s{i}": i % 4 for i in range(8)}
-        macro, _ = slice_accuracy(preds, truth, 4)
+    def test_constant_predictor_on_balanced_classes(self, monkeypatch):
+        macro, _ = self.slice_accuracy(monkeypatch, [0] * 8, [i % 4 for i in range(8)])
         assert macro == pytest.approx(25.0)
 
-    def test_matches_tally_oracle(self):
+    def test_matches_tally_oracle(self, monkeypatch):
         rng = np.random.default_rng(8)
         truth_list = rng.integers(0, 4, size=20)
         pred_list = rng.integers(0, 4, size=20)
-        preds = [self.make_pred(f"s{i}", int(pred_list[i])) for i in range(20)]
-        truth = {f"s{i}": int(truth_list[i]) for i in range(20)}
-        macro, plain = slice_accuracy(preds, truth, 4)
+        macro, plain = self.slice_accuracy(monkeypatch, pred_list, truth_list)
         per_class = []
         for c in range(4):
             mask = truth_list == c
@@ -299,11 +300,6 @@ class TestSliceAccuracy:
                 per_class.append((pred_list[mask] == c).mean())
         assert macro == pytest.approx(100 * np.mean(per_class))
         assert plain == pytest.approx(100 * (pred_list == truth_list).mean())
-
-    def test_unknown_slide_rejected(self):
-        preds = [self.make_pred("mystery", 0)]
-        with pytest.raises(ValueError, match="unknown slide_id"):
-            slice_accuracy(preds, {"other": 0}, 4)
 
     def test_macro_equals_plain_on_balanced_sets(self):
         rng = np.random.default_rng(9)
