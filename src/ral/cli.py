@@ -11,13 +11,19 @@ All state flows through the config file and flags; no environment
 variables. --seed and --out override the config's seed and output_dir.
 ``main`` loads the config and locks the output directory once, for the
 whole of every command. Commands never write into the dataset directory.
+
+A command owns its whole process, so ``main`` also limits glibc's malloc
+to one arena: the helper thread of a two-lane read-only pass
+(``Network.predict_proba``) then reuses the main heap, where an arena of
+its own would hold a second set of chunk buffers. The mmap and trim
+thresholds that keep freed memory in the process are set by importing
+``ral.nn`` (``nn.network.keep_freed_memory``), for every caller.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import json
 import os
 import sys
@@ -31,37 +37,10 @@ from .experiment import build_network_for, run_experiment
 from .imageio import save_image
 from .loop import initial_train
 from .nn import load_checkpoint, save_checkpoint
+from .nn.network import M_ARENA_MAX, mallopt
 from .patches import VARIANTS, build_manifest, build_training_set, manifest_to_dicts
 from .slices import evaluate_slides, predict_slide, render_class_map
 from .synth import generate, write_dataset
-
-
-# mallopt parameters of glibc's malloc.h
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
-
-
-def keep_freed_memory():
-    """Have glibc's malloc keep freed memory in the process for reuse.
-
-    A training step frees a few MB of patch matrices and activations that
-    the next step allocates again. By default glibc maps blocks above its
-    mmap threshold (128 KiB, raised only after a larger mapped block is
-    freed) and unmaps them on free, and returns a free heap top above
-    twice that to the OS, so each step faults its working memory back in.
-    Fixed thresholds keep blocks up to 32 MiB on the heap and up to 64 MiB
-    of free heap in the process. One arena makes the helper thread of a
-    two-lane read-only pass (``Network.predict_proba``) reuse that heap
-    too; an arena of its own would hold a second set of chunk buffers.
-    Does nothing where libc has no mallopt.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt(M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(M_TRIM_THRESHOLD, 64 << 20)
-    mallopt(M_ARENA_MAX, 1)
 
 
 class OutputLocked(RuntimeError):
@@ -214,7 +193,7 @@ def build_parser():
 
 
 def main(argv=None):
-    keep_freed_memory()
+    mallopt(M_ARENA_MAX, 1)
     args = build_parser().parse_args(argv)
     out = args.out  # where error.log goes when the config does not load
     try:

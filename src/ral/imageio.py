@@ -11,7 +11,8 @@ Two on-disk families:
   record for RALW checkpoints (``nn.checkpoint``) too.
 
 Malformed files are rejected with the byte offset of the problem;
-truncated files report how many bytes are missing.
+truncated files report how many bytes are missing, and bytes after a
+file's last record or pixel are rejected.
 """
 
 from __future__ import annotations
@@ -146,6 +147,7 @@ def _decode_pixmap(blob, name):
     if have < need:
         raise ImageFormatError(f"{name}: truncated at byte {len(blob)}: "
                                f"need {need - have} more pixel bytes")
+    need_end(blob, off + need, name)  # one image a file, as save_image writes
     data = np.frombuffer(blob, dtype=np.uint8, count=need, offset=off)
     return np.divide(data.reshape(height, width, channels), np.float32(255.0),
                      dtype=np.float32)

@@ -18,10 +18,17 @@ Read-only passes (``predict_proba``) may run in two lanes: the calling
 thread and one helper thread each forward half of the pass's chunks.
 Layers keep no per-call state and the read-only mode is per thread
 (``layers.training``), so the lanes share the network as it is.
+
+Importing this module fixes glibc malloc's mmap and trim thresholds for
+the whole process (``keep_freed_memory``), so the memory a training step
+or a read-only pass frees stays in the process for the next one, whoever
+calls the library: the CLI, a test or a notebook. It leaves the number of
+malloc arenas to the program; ``cli.main`` caps them for its commands.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -154,6 +161,37 @@ TWO_LANE_MIN_PIXELS = 32 * 32
 
 # The second lane. Its one thread starts on the first two-lane pass.
 _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ral-predict")
+
+# mallopt parameters of glibc's malloc.h
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
+
+
+def mallopt(param, value):
+    """Set one parameter of glibc's malloc; does nothing where libc has no mallopt."""
+    try:
+        fn = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    fn.argtypes = (ctypes.c_int, ctypes.c_int)
+    fn(param, value)
+
+
+def keep_freed_memory():
+    """Have glibc's malloc keep freed memory in the process for reuse.
+
+    A training step frees a few MB of patch matrices and activations that
+    the next step allocates again, and a read-only pass does the same per
+    chunk. By default glibc maps blocks above its mmap threshold (128 KiB,
+    raised only after a larger mapped block is freed) and unmaps them on
+    free, and returns a free heap top above twice that to the OS, so each
+    step faults its working memory back in. Fixed thresholds keep blocks
+    up to 32 MiB on the heap and up to 64 MiB of free heap in the process.
+    """
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 64 << 20)
+
+
+keep_freed_memory()
 
 
 def _cpus():

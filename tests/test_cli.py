@@ -3,8 +3,6 @@ import hashlib
 import json
 import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +13,7 @@ from ral.config import ExperimentConfig
 from ral.experiment import run_experiment
 from ral.imageio import save_image, save_ralt
 from ral.loop import RalConfig
-from ral.nn import Network, build_classifier, save_checkpoint
+from ral.nn import Network, build_classifier, network, save_checkpoint
 from ral.patches import TilingSpec
 from ral.synth import MislabelOracle, SynthSpec
 
@@ -522,31 +520,16 @@ class TestLock:
 
 
 class TestAllocator:
-    def test_freed_block_is_reused_without_faults(self):
-        import ctypes
-
-        import ral
-
-        try:
-            ctypes.CDLL(None).mallopt
-        except (OSError, AttributeError, TypeError):
-            pytest.skip("libc has no mallopt")
-        # a fresh interpreter: the allocator state of this one depends on
-        # the tests before; 3 MiB stays below numpy's huge-page advice
-        code = (
-            "import resource, numpy as np\n"
-            "from ral.cli import keep_freed_memory\n"
-            "keep_freed_memory()\n"
-            "a = np.ones(3 << 18, np.float32); del a\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "a = np.ones(3 << 18, np.float32)\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
-        src = str(Path(ral.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        faults = int(subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                    capture_output=True, text=True).stdout)
-        # 768 pages when the block is mapped afresh
-        assert faults < 64
+    def test_main_caps_malloc_arenas(self, tmp_path, monkeypatch):
+        # the thresholds come with ral.nn; a command adds the arena cap
+        calls = []
+        monkeypatch.setattr("ral.cli.mallopt", lambda *args: calls.append(args))
+        cfg_path, cfg = tiny_config(tmp_path)
+        out = Path(cfg["output_dir"])
+        out.mkdir(parents=True)
+        (out / ".lock").write_text("4242\n")
+        assert main(["generate", "--config", str(cfg_path)]) == 1
+        assert calls == [(network.M_ARENA_MAX, 1)]
 
 
 def write_flat_dataset(root, slides_per_class, size=32):

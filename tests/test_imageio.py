@@ -50,6 +50,16 @@ def test_truncated_pixmap_names_missing_bytes(tmp_path):
         load_image(path)
 
 
+def test_bytes_after_the_pixels_rejected(tmp_path):
+    path = save_image(tmp_path / "p.ppm", np.full((4, 4, 3), 0.5, np.float32))
+    blob = path.read_bytes()
+    assert len(blob) == 11 + 48  # b"P6\n4 4\n255\n", then the pixels
+    path.write_bytes(blob + b"junk")
+    with pytest.raises(ImageFormatError, match=r"p\.ppm: 4 extra bytes after the last "
+                                               r"record at byte 59$"):
+        load_image(path)
+
+
 def record_ends(shape, start):
     """Where the rank, the dims and the data of a record at ``start`` end."""
     dims_end = start + 4 + 4 * len(shape)

@@ -1,9 +1,12 @@
 import json
+import os
 import re
 import struct
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -466,3 +469,53 @@ def test_read_only_passes_build_no_caches():
     seen.clear()
     net.loss_and_grads(x, np.arange(4))
     assert len(seen) == len(net.layers) and all(c is not None for c in seen)
+
+
+class TestAllocator:
+    """Importing ral.nn keeps freed memory in the process, for any caller."""
+
+    @pytest.fixture(autouse=True)
+    def glibc(self):
+        import ctypes
+
+        try:
+            ctypes.CDLL(None).mallopt
+        except (OSError, AttributeError, TypeError):
+            pytest.skip("libc has no mallopt")
+
+    def faults(self, code):
+        """Minor faults that ``code`` counts into ``faults``, in a fresh
+        interpreter that imports ral.nn and never ral.cli: the allocator
+        state of this one depends on the tests before."""
+        code = ("import resource, sys\n"
+                "import numpy as np\n"
+                "import ral.nn\n"
+                "def minflt():\n"
+                "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                + code +
+                "assert 'ral.cli' not in sys.modules\n"
+                "print(faults)\n")
+        src = str(Path(network.__file__).resolve().parents[2])
+        env = dict(os.environ, PYTHONPATH=src)
+        return int(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                  capture_output=True, text=True).stdout)
+
+    def test_freed_block_is_reused_without_faults(self):
+        # 3 MiB stays below numpy's huge-page advice; 768 pages when the
+        # block is mapped afresh
+        assert self.faults("a = np.ones(3 << 18, np.float32); del a\n"
+                           "before = minflt()\n"
+                           "a = np.ones(3 << 18, np.float32)\n"
+                           "faults = minflt() - before\n") < 64
+
+    def test_second_training_step_does_not_fault(self):
+        # 2,000-4,000 pages a step when each step maps its buffers afresh
+        assert self.faults(
+            "net = ral.nn.Network(ral.nn.build_classifier(32, (8, 16, 8)), seed=0)\n"
+            "rng = np.random.default_rng(0)\n"
+            "x = rng.random((32, 32, 32, 3), dtype=np.float32)\n"
+            "y = rng.integers(0, 4, 32)\n"
+            "net.loss_and_grads(x, y)\n"
+            "before = minflt()\n"
+            "net.loss_and_grads(x, y)\n"
+            "faults = minflt() - before\n") < 64
