@@ -1,11 +1,12 @@
 """Experiment configuration: a JSON file with a fixed, typo-safe schema.
 
 Unknown keys are rejected at every level, and so is a section that is not
-a JSON object or a list-valued key that is not a list. The single
-top-level ``seed`` drives everything downstream (data generation, the
-train/val split, weight initialization, batch shuffling), so one config +
-one seed pins a whole run. The resolved configuration is embedded
-verbatim in every report.
+a JSON object. A list becomes a tuple, and each setting must have its
+field's annotated type (``patches.check_types``; a bool is no number, an
+int is a float and stays an int). The single top-level ``seed`` drives
+everything downstream (data generation, the train/val split, weight
+initialization, batch shuffling), so one config + one seed pins a whole
+run. The resolved configuration is embedded verbatim in every report.
 
 The ``tiling``, ``ral`` and ``synthetic`` sections are the library's own
 ``patches.TilingSpec``, ``loop.RalConfig`` and ``synth.SynthSpec``: each
@@ -13,7 +14,7 @@ setting is declared once, with one default, and checked when the config
 loads; ``RalConfig`` and ``SynthSpec`` take the top-level seed. ``network``
 is a section of its own: ``network_spec`` builds the classifier from it,
 the window, the channel and class counts. Building a config, by ``load``
-or ``replace``, checks the seed and that the network section fits the window.
+or ``replace``, checks the types, the seed and that the network fits the window.
 """
 
 from __future__ import annotations
@@ -25,39 +26,30 @@ from pathlib import Path
 from .dataset import load_dataset
 from .loop import RalConfig
 from .nn import build_classifier
-from .patches import TilingSpec, require_count
+from .patches import TilingSpec, check_types, require_count
 from .synth import SynthSpec
 
 
-def _object(d, section):
+def _take(d, section, cls):
+    """``cls(**d)`` of the JSON object ``d``, rejecting unknown keys; a list
+    becomes a tuple, a section's object (a default_factory field) its class."""
     if not isinstance(d, dict):
         raise ValueError(f"{section} config must be a JSON object, got {json.dumps(d)}")
-    return d
-
-
-def _take(d, section, cls):
-    """``cls(**d)``, rejecting keys that are not fields of ``cls``; a JSON
-    list becomes a tuple where the field's default is a tuple, and any
-    other value there is rejected."""
-    by_name = {f.name: f for f in fields(cls)}
-    unknown = set(_object(d, section)) - set(by_name)
+    factories = {f.name: f.default_factory for f in fields(cls)}
+    unknown = set(d) - set(factories)
     if unknown:
         raise ValueError(f"unknown {section} config keys: {sorted(unknown)}")
-    kwargs = {}
-    for k, v in d.items():
-        if isinstance(by_name[k].default, tuple):
-            if not isinstance(v, (list, tuple)):
-                raise ValueError(f"{section} config key {k!r} must be a list, "
-                                 f"got {json.dumps(v)}")
-            v = tuple(v)
-        kwargs[k] = v
-    return cls(**kwargs)
+    return cls(**{k: _take(v, k, factories[k]) if factories[k] is not MISSING
+                  else tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
 @dataclass
 class NetworkSection:
-    channel_plan: tuple = (8, 16, 8)
+    channel_plan: tuple[int, ...] = (8, 16, 8)
     stem_channels: int | None = None
+
+    def __post_init__(self):
+        check_types(self, "network")
 
 
 @dataclass
@@ -72,6 +64,7 @@ class ExperimentConfig:
     synthetic: SynthSpec = field(default_factory=SynthSpec)
 
     def __post_init__(self):
+        check_types(self, "experiment")
         require_count(self.seed, "seed", 0)
         self.network_spec()
         if not 0.0 < self.val_fraction < 1.0:
@@ -79,11 +72,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d):
-        # the sections are the fields built by a default_factory
-        d = _object(d, "experiment")
-        sections = {f.name: _take(d.get(f.name, {}), f.name, f.default_factory)
-                    for f in fields(ExperimentConfig) if f.default_factory is not MISSING}
-        return _take({**d, **sections}, "experiment", ExperimentConfig)
+        return _take(d, "experiment", ExperimentConfig)
 
     @staticmethod
     def load(path):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .metrics import macro_accuracy
 from .nn import Adam
-from .patches import TrainingSet, VARIANTS, require_count
+from .patches import TrainingSet, VARIANTS, check_types, require_count
 
 
 @dataclass
@@ -44,9 +44,11 @@ class RalConfig:
     seed: InitVar[int] = 0
 
     def __post_init__(self, seed):
+        check_types(self, "ral")
         self.seed = seed  # kept, so that dataclasses.replace keeps it too
-        if not 0.0 <= self.tau < 1.0:
-            raise ValueError(f"tau must be in [0, 1), got {self.tau}")
+        for name in ("tau", "beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         for name in ("group_threshold", "iterations", "max_epochs", "finetune_epochs"):
             require_count(getattr(self, name), name, 0)
         if self.group_threshold > VARIANTS:
@@ -56,9 +58,6 @@ class RalConfig:
         # learning_rate 0 is allowed: it freezes the weights
         if not self.learning_rate >= 0.0:
             raise ValueError(f"learning_rate must be non-negative, got {self.learning_rate}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.confidence_mode not in ("label", "max"):

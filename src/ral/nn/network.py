@@ -36,7 +36,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..patches import is_count
 from .layers import Conv2d, Dense, GlobalAvgPool, MaxPool2x2, training
 from .loss import softmax, softmax_cross_entropy_batch
 
@@ -57,6 +56,8 @@ class LayerSpec:
             raise ValueError(f"conv kernel must be 1 or 3, got {self.kernel}")
         if self.kind == "maxpool" and self.kernel != 2:
             raise ValueError("maxpool kernel must be 2")
+        if self.activation not in ("relu", "none"):
+            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def build_classifier(input_size, channel_plan=(128, 256, 128), in_channels=3,
         raise ValueError("channel_plan must have three block widths")
     c1, c2, c3 = channel_plan
     stem = stem_channels if stem_channels is not None else c1
-    if not all(map(is_count, (stem, c1, c2, c3))):
+    if min(stem, c1, c2, c3) < 1:
         raise ValueError(f"channel widths must be positive integers, got channel_plan "
                          f"{list(channel_plan)} and stem_channels {stem_channels}")
     conv = lambda k, c: LayerSpec("conv", k, c, "relu")

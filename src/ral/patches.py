@@ -11,21 +11,48 @@ operates. Every patch starts out carrying its parent slide's label.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import json
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 VARIANTS = 8
 
 
-def is_count(value, minimum=1):
-    """Is ``value`` an integer of at least ``minimum``; a bool is no count."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+_type_hints = functools.cache(typing.get_type_hints)
+_KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+          tuple[int, ...]: "a list of integers", int | None: "an integer or null",
+          str | None: "a string or null"}
+
+
+def _has_type(value, hint):
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, tuple) and all(_has_type(v, args[0]) for v in value)
+    if args:
+        return any(_has_type(value, a) for a in args)
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
+def check_types(settings, section):
+    """Raise unless each field of the dataclass ``settings`` has its annotated
+    type: a bool is neither an int nor a float, an int is a float (and is kept
+    as it is), ``tuple[X, ...]`` holds X's and ``X | None`` allows None."""
+    hints = _type_hints(type(settings))
+    for f in fields(settings):
+        value, hint = getattr(settings, f.name), hints[f.name]
+        if not _has_type(value, hint):
+            raise ValueError(f"{section} config key {f.name!r} must be "
+                             f"{_KINDS.get(hint) or 'a ' + hint.__name__}, "
+                             f"got {json.dumps(value, default=repr)}")
 
 
 def require_count(value, what, minimum=1):
-    """Raise unless ``is_count(value, minimum)``; ``minimum`` is 1 or 0."""
-    if not is_count(value, minimum):
+    """Raise unless the integer ``value`` is at least ``minimum``, 1 or 0."""
+    if value < minimum:
         kind = "positive" if minimum else "non-negative"
         raise ValueError(f"{what} must be a {kind} integer, got {value}")
 
@@ -37,6 +64,7 @@ class TilingSpec:
     stride: int = 32
 
     def __post_init__(self):
+        check_types(self, "tiling")
         require_count(self.window, "tiling window")
         require_count(self.stride, "tiling stride")
         if self.stride > self.window:

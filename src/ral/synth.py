@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .imageio import save_image
-from .patches import (SlideImage, _round_half_up, is_count, make_group_id, require_count,
+from .patches import (SlideImage, _round_half_up, check_types, make_group_id, require_count,
                       split_slides)
 
 DEFAULT_CLASS_NAMES = ("Normal", "Benign", "InSitu", "Invasive")
@@ -43,7 +43,7 @@ class SynthSpec:
     and ``texture_params``, derived from ``classes``, are no fields: no
     config keys and no part of the resolved config in ``report.json``."""
     classes: int = 4
-    slide_size: tuple = (128, 128)   # (H, W)
+    slide_size: tuple[int, ...] = (128, 128)  # (H, W)
     window: int = 32
     stride: int = 32                 # must equal window (regions tessellate)
     slides_per_class: int = 10
@@ -54,6 +54,7 @@ class SynthSpec:
     seed: InitVar[int] = 0
 
     def __post_init__(self, seed):
+        check_types(self, "synthetic")
         self.seed = seed  # kept, so that dataclasses.replace keeps it too
         for name in ("classes", "window", "slides_per_class"):
             require_count(getattr(self, name), f"generator {name}")
@@ -62,9 +63,10 @@ class SynthSpec:
                 f"generator stride ({self.stride}) must equal the window "
                 f"({self.window}): contaminated regions must coincide with "
                 f"tiling cells for the oracle to be exact")
+        if len(self.slide_size) != 2 or min(self.slide_size) < 1:
+            raise ValueError(f"generator slide_size must be two positive integers, "
+                             f"got {list(self.slide_size)}")
         h, w = self.slide_size
-        if not (is_count(h) and is_count(w)):
-            raise ValueError(f"generator slide_size must be two positive integers, got {[h, w]}")
         if h % self.window or w % self.window:
             raise ValueError(f"slide size {w}x{h} not divisible by window {self.window}")
         if not 0.0 <= self.contamination_rho < 1.0:

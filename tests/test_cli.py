@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ral.cli import main, output_lock
-from ral.config import ExperimentConfig
+from ral.config import ExperimentConfig, NetworkSection
 from ral.experiment import run_experiment
 from ral.imageio import save_image, save_ralt
 from ral.loop import RalConfig
@@ -104,21 +104,21 @@ NON_DEFAULT_CONFIG = {
 
 # every count key, and each entry of the list-valued ones, set to true
 BOOL_COUNTS = [
-    *[("tiling", k, True, f"tiling {k} must be a positive integer, got True")
+    *[("tiling", k, True, f"tiling config key {k!r} must be an integer, got true")
       for k in ("window", "stride")],
-    *[("ral", k, True, f"{k} must be a non-negative integer, got True")
+    *[("ral", k, True, f"ral config key {k!r} must be an integer, got true")
       for k in ("group_threshold", "iterations", "max_epochs", "finetune_epochs")],
-    ("ral", "batch_size", True, "batch_size must be a positive integer, got True"),
-    *[("synthetic", k, True, f"generator {k} must be a positive integer, got True")
+    ("ral", "batch_size", True, "ral config key 'batch_size' must be an integer, got true"),
+    *[("synthetic", k, True, f"synthetic config key {k!r} must be an integer, got true")
       for k in ("classes", "window", "slides_per_class")],
-    *[("synthetic", "slide_size", size,
-       f"generator slide_size must be two positive integers, got {size}")
+    *[("synthetic", "slide_size", size, f"synthetic config key 'slide_size' must be a list "
+                                        f"of integers, got {json.dumps(size)}")
       for size in ([True, 32], [32, True])],
-    *[("network", "channel_plan", plan, f"channel widths must be positive integers, "
-                                        f"got channel_plan {plan} and stem_channels None")
+    *[("network", "channel_plan", plan, f"network config key 'channel_plan' must be a list "
+                                        f"of integers, got {json.dumps(plan)}")
       for plan in ([True, 2, 2], [2, True, 2], [2, 2, True])],
-    ("network", "stem_channels", True, "channel widths must be positive integers, "
-                                       "got channel_plan [8, 16, 8] and stem_channels True"),
+    ("network", "stem_channels", True, "network config key 'stem_channels' must be an "
+                                       "integer or null, got true"),
 ]
 
 
@@ -226,7 +226,7 @@ class TestConfig:
         ("synthetic", {"slides_per_class": 0},
          "generator slides_per_class must be a positive integer, got 0"),
         ("synthetic", {"slides_per_class": 2.5},
-         "generator slides_per_class must be a positive integer, got 2.5"),
+         "synthetic config key 'slides_per_class' must be an integer, got 2.5"),
         ("synthetic", {"noise_sigma": -0.1}, "noise_sigma must be non-negative, got -0.1"),
         ("synthetic", {"slide_size": [0, 0]},
          "generator slide_size must be two positive integers, got [0, 0]"),
@@ -238,33 +238,63 @@ class TestConfig:
         ("network", {"channel_plan": [0, 16, 8]},
          "channel widths must be positive integers, got channel_plan [0, 16, 8] "
          "and stem_channels None"),
-        ("network", {"channel_plan": [8.5, 16, 8]}, "channel widths must be positive "
-                                                    "integers, got channel_plan [8.5, 16, 8]"),
+        ("network", {"channel_plan": [8.5, 16, 8]}, "network config key 'channel_plan' must be "
+                                                    "a list of integers, got [8.5, 16, 8]"),
         ("network", {"stem_channels": -2}, "channel widths must be positive integers, "
                                            "got channel_plan [2, 4, 2] and stem_channels -2"),
         ("tiling", {"window": 16.0, "stride": 16.0},
-         "tiling window must be a positive integer, got 16.0"),
-        ("tiling", {"stride": 8.0}, "tiling stride must be a positive integer, got 8.0"),
+         "tiling config key 'window' must be an integer, got 16.0"),
+        ("tiling", {"stride": 8.0}, "tiling config key 'stride' must be an integer, got 8.0"),
         ("tiling", {"stride": 0}, "tiling stride must be a positive integer, got 0"),
-        ("ral", {"batch_size": 8.5}, "batch_size must be a positive integer, got 8.5"),
+        ("ral", {"batch_size": 8.5}, "ral config key 'batch_size' must be an integer, got 8.5"),
         ("ral", {"batch_size": 0}, "batch_size must be a positive integer, got 0"),
-        ("ral", {"iterations": 1.0}, "iterations must be a non-negative integer, got 1.0"),
+        ("ral", {"iterations": 1.0}, "ral config key 'iterations' must be an integer, got 1.0"),
         ("ral", {"max_epochs": -1}, "max_epochs must be a non-negative integer, got -1"),
         ("ral", {"finetune_epochs": 0.5},
-         "finetune_epochs must be a non-negative integer, got 0.5"),
+         "ral config key 'finetune_epochs' must be an integer, got 0.5"),
         ("ral", {"group_threshold": 4.0},
-         "group_threshold must be a non-negative integer, got 4.0"),
+         "ral config key 'group_threshold' must be an integer, got 4.0"),
         ("ral", {"group_threshold": 9}, "group_threshold must be at most 8, got 9"),
+        ("ral", {"fresh_optimizer": "no"},
+         "ral config key 'fresh_optimizer' must be a boolean, got \"no\""),
+        ("ral", {"learning_rate": True}, "ral config key 'learning_rate' must be a number, "
+                                         "got true"),
+        ("synthetic", {"noise_sigma": True}, "synthetic config key 'noise_sigma' must be a "
+                                             "number, got true"),
+        ("synthetic", {"texture_amplitude": "x"}, "synthetic config key 'texture_amplitude' "
+                                                  "must be a number, got \"x\""),
+        ("ral", {"target_train_accuracy": "x"}, "ral config key 'target_train_accuracy' must "
+                                                "be a number, got \"x\""),
+        ("ral", {"tau": "0.5"}, "ral config key 'tau' must be a number, got \"0.5\""),
+        (None, {"val_fraction": "0.2"},
+         "experiment config key 'val_fraction' must be a number, got \"0.2\""),
+        (None, {"output_dir": 5}, "experiment config key 'output_dir' must be a string, got 5"),
+        (None, {"dataset_path": 5},
+         "experiment config key 'dataset_path' must be a string or null, got 5"),
+        (None, {"dataset_path": ["a"]},
+         "experiment config key 'dataset_path' must be a string or null, got [\"a\"]"),
+        ("synthetic", {"slide_size": [64, 64, 64]},
+         "generator slide_size must be two positive integers, got [64, 64, 64]"),
+        ("synthetic", {"slide_size": [64]},
+         "generator slide_size must be two positive integers, got [64]"),
     ], ids=["rho", "window", "one-class", "no-slides", "float-slides", "sigma", "empty-size",
             "val-1", "val-negative", "val-no-train", "zero-width", "float-width",
             "negative-stem", "float-tiling-window", "float-tiling-stride", "zero-tiling-stride",
             "float-batch", "zero-batch", "float-iterations", "negative-epochs",
-            "float-finetune-epochs", "float-group-threshold", "group-threshold-9"])
-    def test_bad_values_rejected_at_load(self, tmp_path, capsys, section, values, message):
+            "float-finetune-epochs", "float-group-threshold", "group-threshold-9",
+            "string-fresh-optimizer", "bool-learning-rate", "bool-sigma", "string-amplitude",
+            "string-target-accuracy", "string-tau", "string-val-fraction", "number-output-dir",
+            "number-dataset-path", "list-dataset-path", "three-entry-size", "one-entry-size"])
+    def test_bad_values_rejected_at_load(self, tmp_path, capsys, monkeypatch, section, values,
+                                         message):
+        def no_load(*args, **kwargs):
+            raise AssertionError("loaded the dataset of a run with a bad config")
+
         # the dataset exists, so nothing but the config stops ral ral
         cfg_path, cfg = tiny_config(tmp_path)
         assert main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]]) == 0
-        cfg[section].update(values)
+        monkeypatch.setattr(ExperimentConfig, "load_dataset", no_load)
+        (cfg[section] if section else cfg).update(values)
         cfg_path.write_text(json.dumps(cfg))
         capsys.readouterr()
         for command in ("generate", "ral"):
@@ -281,10 +311,38 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentConfig.from_dict({section: {key: value}})
 
-    @pytest.mark.parametrize("seed, flag", [(-1, None), (1.5, None), (True, None),
-                                            ("x", None), (0, "-1")])
+    @pytest.mark.parametrize("build, message", [
+        (lambda: RalConfig(fresh_optimizer="no"),
+         "ral config key 'fresh_optimizer' must be a boolean, got \"no\""),
+        (lambda: TilingSpec(16.0, 16), "tiling config key 'window' must be an integer, got 16.0"),
+        (lambda: SynthSpec(slide_size=(64, 64.0)),
+         "synthetic config key 'slide_size' must be a list of integers, got [64, 64.0]"),
+        (lambda: NetworkSection(stem_channels=True),
+         "network config key 'stem_channels' must be an integer or null, got true"),
+        (lambda: ExperimentConfig(val_fraction="0.2"),
+         "experiment config key 'val_fraction' must be a number, got \"0.2\""),
+        (lambda: ExperimentConfig(ral={"tau": 0.5}),
+         "experiment config key 'ral' must be a RalConfig, got {\"tau\": 0.5}"),
+        (lambda: dataclasses.replace(ExperimentConfig(), output_dir=5),
+         "experiment config key 'output_dir' must be a string, got 5"),
+    ], ids=["ral", "tiling", "synthetic", "network", "experiment", "section", "replace"])
+    def test_direct_construction_is_checked(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_an_int_stays_an_int_in_a_float_setting(self):
+        config = ExperimentConfig.from_dict({"ral": {"learning_rate": 0}})
+        assert json.dumps(config.to_dict()["ral"]["learning_rate"]) == "0"
+
+    @pytest.mark.parametrize("seed, flag, message", [
+        (-1, None, "seed must be a non-negative integer, got -1"),
+        (1.5, None, "experiment config key 'seed' must be an integer, got 1.5"),
+        (True, None, "experiment config key 'seed' must be an integer, got true"),
+        ("x", None, "experiment config key 'seed' must be an integer, got \"x\""),
+        (0, "-1", "seed must be a non-negative integer, got -1"),
+    ], ids=["-1-None", "1.5-None", "True-None", "x-None", "0--1"])
     def test_bad_seed_fails_before_the_dataset_loads(self, tmp_path, capsys, monkeypatch,
-                                                     seed, flag):
+                                                     seed, flag, message):
         def no_load(*args, **kwargs):
             raise AssertionError("loaded the dataset of a run with a bad seed")
 
@@ -295,9 +353,7 @@ class TestConfig:
         out = tmp_path / "out"
         assert main(["ral", "--config", str(cfg_path), "--out", str(out)]
                     + (["--seed", flag] if flag else [])) == 1
-        shown = flag or seed
-        assert (f"ral: error: seed must be a non-negative integer, got {shown}\n"
-                in capsys.readouterr().err)
+        assert f"ral: error: {message}\n" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["error.log"]
 
     @pytest.mark.parametrize("text, message", [
@@ -305,9 +361,9 @@ class TestConfig:
         ('[]', "experiment config must be a JSON object, got []"),
         ('{"tiling": 32}', "tiling config must be a JSON object, got 32"),
         ('{"network": {"channel_plan": 8}}',
-         "network config key 'channel_plan' must be a list, got 8"),
+         "network config key 'channel_plan' must be a list of integers, got 8"),
         ('{"synthetic": {"slide_size": "64"}}',
-         "synthetic config key 'slide_size' must be a list, got \"64\""),
+         "synthetic config key 'slide_size' must be a list of integers, got \"64\""),
     ], ids=["null-section", "list-top-level", "number-section", "number-plan",
             "string-size"])
     def test_malformed_config_names_its_section(self, tmp_path, capsys, text, message):
@@ -701,7 +757,7 @@ class TestPredictSlideImage:
 
 
 class TestMalformedCheckpointSpec:
-    @pytest.mark.parametrize("edit", ["no-layers", "unknown-layer-key", "list"])
+    @pytest.mark.parametrize("edit", ["no-layers", "unknown-layer-key", "list", "sigmoid"])
     def test_eval_fails_naming_the_spec_file(self, tmp_path, capsys, edit):
         cfg_path, cfg = tiny_config(tmp_path)
         main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
@@ -713,6 +769,8 @@ class TestMalformedCheckpointSpec:
             del spec["layers"]
         elif edit == "unknown-layer-key":
             spec["layers"][0]["stride"] = 1
+        elif edit == "sigmoid":  # any activation but relu would run as none
+            spec["layers"][0]["activation"] = "sigmoid"
         else:
             spec = list(spec.values())
         spec_path.write_text(json.dumps(spec))

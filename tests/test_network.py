@@ -509,13 +509,19 @@ class TestAllocator:
                            "faults = minflt() - before\n") < 64
 
     def test_second_training_step_does_not_fault(self):
-        # 2,000-4,000 pages a step when each step maps its buffers afresh
+        # 2,000-4,000 pages a step when each step maps its buffers afresh.
+        # The heap grows once more on some step after the first, by up to
+        # about 150 pages, and the heap layout decides which: so the bound
+        # is on the median of steps 2-6, not on step 2.
         assert self.faults(
             "net = ral.nn.Network(ral.nn.build_classifier(32, (8, 16, 8)), seed=0)\n"
             "rng = np.random.default_rng(0)\n"
             "x = rng.random((32, 32, 32, 3), dtype=np.float32)\n"
             "y = rng.integers(0, 4, 32)\n"
             "net.loss_and_grads(x, y)\n"
-            "before = minflt()\n"
-            "net.loss_and_grads(x, y)\n"
-            "faults = minflt() - before\n") < 64
+            "steps = []\n"
+            "for _ in range(5):\n"
+            "    before = minflt()\n"
+            "    net.loss_and_grads(x, y)\n"
+            "    steps.append(minflt() - before)\n"
+            "faults = sorted(steps)[2]\n") < 64
