@@ -7,7 +7,11 @@ flattens a 4-D input in (height, width, channel) order, the order of an
 NHWC flatten, so dense weights mean the same in either layout. Layers
 keep their parameters but no per-call state: ``forward`` returns a cache
 that the matching ``backward`` consumes, so read-only passes can run
-concurrently over the same layer.
+concurrently over the same layer. The caller hands the cache to
+``backward`` and keeps no reference to it (``Network.loss_and_grads``
+pops it off its list), so ``backward`` can free each of its buffers at
+that buffer's last use; a caller that keeps the cache keeps them alive,
+and gets the same result.
 
 ``forward(x)`` runs a training forward, or inside a ``training(False)``
 block a read-only one. A read-only forward computes the same output
@@ -91,6 +95,16 @@ def _grid(shape, p, dtype):
     return flat, flat[:, :B * Hq * Wq].reshape(C, B, Hq, Wq)[:, :, p:, p:]
 
 
+def _padded(x, p):
+    """(C, B, H, W) images on a zeroed flat grid of pad p (see ``_grid``),
+    or with p 0 their own planes, flattened to (C, B*H*W)."""
+    if not p:
+        return x.reshape(x.shape[0], -1)
+    flat, pixels = _grid(x.shape, p, x.dtype)
+    pixels[...] = x
+    return flat
+
+
 def _flat_shift(flat, k, Wq):
     """(C, n) flattened grid -> (k*k*C, L) patch matrix.
 
@@ -156,18 +170,19 @@ class Conv2d:
                 f"conv input shape {tuple(x.shape)} does not match weights "
                 f"{tuple(self.w.shape)} (expected {self.in_channels} channels first)")
         k, F = self.kernel, self.out_channels
-        C, B, H, W = x.shape
+        _, B, H, W = x.shape
         p = k // 2
-        if p:
-            flat, pixels = _grid(x.shape, p, x.dtype)
-            pixels[...] = x
-        else:
-            flat = x.reshape(C, -1)
-        cols = _flat_shift(flat, k, W + p)
-        z = np.empty((F, B, H, W), np.result_type(x, self.w))
-        np.add(_grid_product(self.w.reshape(-1, F).T, cols, z.shape, p),
-               self.b[:, None, None, None], out=z)
-        if not _TRAINING.get():
+        # the padded grid dies once shifted, and a read-only pass's patch
+        # matrix once multiplied, before the output is allocated
+        cols = _flat_shift(_padded(x, p), k, W + p)
+        y = _grid_product(self.w.reshape(-1, F).T, cols, (F, B, H, W), p)
+        train = _TRAINING.get()
+        if not train:
+            del cols
+        z = np.empty(y.shape, np.result_type(x, self.w))
+        np.add(y, self.b[:, None, None, None], out=z)
+        del y
+        if not train:
             if self.activation == "relu":
                 np.maximum(z, 0, out=z)
             return z, None
@@ -196,11 +211,16 @@ class Conv2d:
             dz[...] = dy
         shift = p * (W + p) + p
         dw = (cols @ flat[:, shift:shift + cols.shape[1]].T).reshape(self.w.shape)
+        # the patch matrix's last use: with the caller holding no reference
+        # to the cache (``Network.loss_and_grads``), it dies here
+        del cache, cols, mask
         db = dz.sum(axis=(1, 2, 3))
         if not self.input_grad:
             return None, [dw, db]
         w_flip = self.w[::-1, ::-1].transpose(2, 0, 1, 3).reshape(self.in_channels, -1)
-        dx = _grid_product(w_flip, _flat_shift(flat, k, W + p), (self.in_channels, B, H, W), p)
+        shifted = _flat_shift(flat, k, W + p)
+        del flat, dz  # before the dx buffer is allocated
+        dx = _grid_product(w_flip, shifted, (self.in_channels, B, H, W), p)
         return dx, [dw, db]
 
 
@@ -226,8 +246,6 @@ class MaxPool2x2:
         if not _TRAINING.get():
             rows = np.maximum(left, right).reshape(C, B, H // 2, 2, W // 2)
             return np.maximum(rows[:, :, :, 0], rows[:, :, :, 1]), None
-        # training allocates in this order; a reordering alone moved a desk
-        # refinement's peak RSS by 0.2 MB
         left_wins = (left >= right).reshape(C, B, H // 2, 2, W // 2)
         rows = np.maximum(left, right).reshape(C, B, H // 2, 2, W // 2)
         top, bottom = rows[:, :, :, 0], rows[:, :, :, 1]

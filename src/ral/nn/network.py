@@ -91,6 +91,10 @@ class NetworkSpec:
 
     @staticmethod
     def from_dict(d):
+        # 16.0 == 16, so a float would pass every later check
+        if not all(type(n) is int for n in (*d["input"], d["classes"])):
+            raise ValueError(f"input and classes must be integers, "
+                             f"got {d['input']!r} and {d['classes']!r}")
         return NetworkSpec(tuple(d["input"]),
                            tuple(LayerSpec(**x) for x in d["layers"]),
                            d["classes"])
@@ -151,8 +155,10 @@ def build_classifier(input_size, channel_plan=(128, 256, 128), in_channels=3,
 # slide's grid and a whole evaluation split alike: one chunk of 64 per
 # forward() call in one lane, or a chunk of 32 in each of two lanes. The
 # chunk size never changes the bytes, since every sample is forwarded on
-# its own arithmetic. Per-record time is flat from 32 to 256 samples,
-# while the patch matrices grow with the chunk.
+# its own arithmetic, but it does change the time, as the patch matrices
+# grow with the chunk. One lane of plan 8/16/8 (one OpenBLAS thread, a
+# 2-core x86 host) took 169 us a record at 32 samples of 32x32, 190 us
+# at 64 and 225 us at 128; at 16x16 it took 48-51 us from 32 to 128.
 PREDICT_CHUNK = 64
 
 # Inputs of at least 32x32 pixels run read-only passes in two lanes when
@@ -329,8 +335,9 @@ class Network:
         logits, caches = self.logits(batch, keep_caches=True)
         loss, dx = softmax_cross_entropy_batch(logits, labels)
         grads_rev = []
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            dx, gs = layer.backward(dx, cache)
+        for layer in reversed(self.layers):
+            # hand the cache over: backward may free it before it returns
+            dx, gs = layer.backward(dx, caches.pop())
             grads_rev.extend(reversed(gs))
         grads = list(reversed(grads_rev))
         return (loss, grads, logits) if with_logits else (loss, grads)

@@ -45,9 +45,11 @@ def check_types(settings, section):
     for f in fields(settings):
         value, hint = getattr(settings, f.name), hints[f.name]
         if not _has_type(value, hint):
-            raise ValueError(f"{section} config key {f.name!r} must be "
-                             f"{_KINDS.get(hint) or 'a ' + hint.__name__}, "
-                             f"got {json.dumps(value, default=repr)}")
+            kind = _KINDS.get(hint) or "a " + hint.__name__
+            got = json.dumps(value, default=repr)
+            if isinstance(value, list):  # only a direct construction; _take makes JSON lists tuples
+                kind, got = kind.replace("a list", "a tuple"), f"a list {got}"
+            raise ValueError(f"{section} config key {f.name!r} must be {kind}, got {got}")
 
 
 def require_count(value, what, minimum=1):

@@ -319,13 +319,16 @@ class TestConfig:
          "synthetic config key 'slide_size' must be a list of integers, got [64, 64.0]"),
         (lambda: NetworkSection(stem_channels=True),
          "network config key 'stem_channels' must be an integer or null, got true"),
+        (lambda: NetworkSection(channel_plan=[8, 16, 8]),
+         "network config key 'channel_plan' must be a tuple of integers, got a list [8, 16, 8]"),
         (lambda: ExperimentConfig(val_fraction="0.2"),
          "experiment config key 'val_fraction' must be a number, got \"0.2\""),
         (lambda: ExperimentConfig(ral={"tau": 0.5}),
          "experiment config key 'ral' must be a RalConfig, got {\"tau\": 0.5}"),
         (lambda: dataclasses.replace(ExperimentConfig(), output_dir=5),
          "experiment config key 'output_dir' must be a string, got 5"),
-    ], ids=["ral", "tiling", "synthetic", "network", "experiment", "section", "replace"])
+    ], ids=["ral", "tiling", "synthetic", "network", "list", "experiment", "section",
+            "replace"])
     def test_direct_construction_is_checked(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
@@ -757,7 +760,8 @@ class TestPredictSlideImage:
 
 
 class TestMalformedCheckpointSpec:
-    @pytest.mark.parametrize("edit", ["no-layers", "unknown-layer-key", "list", "sigmoid"])
+    @pytest.mark.parametrize("edit", ["no-layers", "unknown-layer-key", "list", "sigmoid",
+                                      "float-input", "float-classes"])
     def test_eval_fails_naming_the_spec_file(self, tmp_path, capsys, edit):
         cfg_path, cfg = tiny_config(tmp_path)
         main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
@@ -771,6 +775,10 @@ class TestMalformedCheckpointSpec:
             spec["layers"][0]["stride"] = 1
         elif edit == "sigmoid":  # any activation but relu would run as none
             spec["layers"][0]["activation"] = "sigmoid"
+        elif edit == "float-input":  # 16.0 == 16, so it would pass every check
+            spec["input"][0] = 16.0
+        elif edit == "float-classes":
+            spec["classes"] = 4.0
         else:
             spec = list(spec.values())
         spec_path.write_text(json.dumps(spec))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,27 @@ class TestConv2d:
         conv = Conv2d(3, 3, 8, rng=rng)
         y, _ = conv.forward(rng.random((3, 2, 8, 8), dtype=np.float32))
         assert np.isfinite(y).all()
+
+    def test_read_only_forward_frees_the_patch_matrix_before_the_output(self):
+        # desk's stem: 32 samples of 32x32x3 to 8 channels. Each sample is a
+        # 33x33 cell of the pad-1 grid, the grid ends with 34 more zeros,
+        # and the patch matrix has 2 * 34 columns fewer than the grid.
+        rng = np.random.default_rng(3)
+        conv = Conv2d(3, 3, 8, rng=rng)
+        x = rng.random((3, 32, 32, 32), dtype=np.float32)
+        grid = 32 * 33 * 33
+        patches = 9 * 3 * (grid + 34 - 2 * 34) * 4
+        gemm = 8 * grid * 4
+        output = 8 * 32 * 32 * 32 * 4
+        with training(False):
+            tracemalloc.start()
+            try:
+                conv.forward(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # all three alive at once would reach their sum
+        assert peak < patches + gemm + output
 
 
 class TestMaxPool:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from ral.imageio import save_ralt
 from ral.nn import (LayerSpec, Network, NetworkSpec, build_classifier, load_checkpoint,
                     save_checkpoint, softmax)
-from ral.nn import network
+from ral.nn import Conv2d, network
 from ral.nn.network import PREDICT_CHUNK
 
 FULL_SCALE_TRUNK = [
@@ -321,7 +322,8 @@ def test_bytes_after_the_last_record_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("edit", ["no-layers", "unknown-layer-key", "list", "no-layer",
-                                  "unknown-kind", "text-width"])
+                                  "unknown-kind", "text-width", "float-input",
+                                  "float-classes"])
 def test_malformed_spec_fails_naming_its_file(tmp_path, edit):
     path = save_checkpoint(tmp_path / "model.ralw",
                            Network(build_classifier(8, (2, 4, 2)), seed=15))
@@ -337,6 +339,10 @@ def test_malformed_spec_fails_naming_its_file(tmp_path, edit):
         spec["layers"] = []
     elif edit == "unknown-kind":
         spec["layers"][0]["kind"] = "deconv"
+    elif edit == "float-input":  # 8.0 == 8, so it would pass every check
+        spec["input"][0] = 8.0
+    elif edit == "float-classes":
+        spec["classes"] = 4.0
     else:
         spec["layers"][0]["channels"] = "2"
     spec_path.write_text(json.dumps(spec))
@@ -469,6 +475,28 @@ def test_read_only_passes_build_no_caches():
     seen.clear()
     net.loss_and_grads(x, np.arange(4))
     assert len(seen) == len(net.layers) and all(c is not None for c in seen)
+
+
+def test_each_patch_matrix_dies_before_the_layer_below_runs_backward():
+    net = Network(build_classifier(16, (2, 4, 2)), seed=16)
+    rng = np.random.default_rng(17)
+    x = rng.random((4, 16, 16, 3), dtype=np.float32)
+    patches, alive = {}, {}
+    for i, layer in enumerate(net.layers):
+        if isinstance(layer, Conv2d):
+            def keep(x, i=i, forward=layer.forward):
+                y, cache = forward(x)
+                patches[i] = weakref.ref(cache[0])
+                return y, cache
+            layer.forward = keep
+
+        def check(dy, cache, i=i, backward=layer.backward):
+            alive[i] = [j for j, ref in patches.items() if j > i and ref() is not None]
+            return backward(dy, cache)
+        layer.backward = check
+    net.loss_and_grads(x, np.arange(4))
+    assert len(patches) == 10 and len(alive) == len(net.layers)
+    assert all(not later for later in alive.values()), alive
 
 
 class TestAllocator:
