@@ -75,7 +75,7 @@ def _resolve(args):
 
 
 def cmd_generate(args, config, out):
-    ds = generate(config.synthetic.build(config.seed))
+    ds = generate(config.synthetic.build(config.seed, config.val_fraction))
     write_dataset(ds, out)
     n_mis = int(ds.oracle.mislabeled(ds.oracle.entries).sum())
     print(f"generated {len(ds.train_slides)} train + {len(ds.val_slides)} val slides "

@@ -11,10 +11,12 @@ run. The resolved configuration is embedded verbatim in every report.
 The ``tiling``, ``ral`` and ``synthetic`` sections are the library's own
 ``patches.TilingSpec``, ``loop.RalConfig`` and ``synth.SynthSpec``: each
 setting is declared once, with one default, and checked when the config
-loads; ``RalConfig`` and ``SynthSpec`` take the top-level seed. ``network``
-is a section of its own: ``network_spec`` builds the classifier from it,
-the window, the channel and class counts. Building a config, by ``load``
-or ``replace``, checks the types, the seed and that the network fits the window.
+loads; ``RalConfig`` and ``SynthSpec`` take the top-level seed, and
+``SynthSpec`` the top-level ``val_fraction``, the one split fraction of
+generated and flat datasets. ``network`` is a section of its own:
+``network_spec`` builds the classifier from it, the window, the channel and
+class counts. Building a config, by ``load`` or ``replace``, checks the
+types, the seed and that the network fits the window.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ def _take(d, section, cls):
 @dataclass
 class NetworkSection:
     channel_plan: tuple[int, ...] = (8, 16, 8)
-    stem_channels: int | None = None
 
     def __post_init__(self):
         check_types(self, "network")
@@ -57,7 +58,7 @@ class ExperimentConfig:
     seed: int = 0
     dataset_path: str | None = None
     output_dir: str = "out"
-    val_fraction: float = 0.2  # train/val split for flat dataset layouts
+    val_fraction: float = 0.2  # train/val split of generated and flat datasets
     tiling: TilingSpec = field(default_factory=TilingSpec)
     network: NetworkSection = field(default_factory=NetworkSection)
     ral: RalConfig = field(default_factory=RalConfig)
@@ -84,8 +85,7 @@ class ExperimentConfig:
     def network_spec(self, in_channels=3, classes=4):
         """The classifier for this config's window and ``network`` section."""
         return build_classifier(self.tiling.window, self.network.channel_plan,
-                                in_channels=in_channels, classes=classes,
-                                stem_channels=self.network.stem_channels)
+                                in_channels=in_channels, classes=classes)
 
     def load_dataset(self):
         """The module's ``load_dataset`` of ``dataset_path``, ``val_fraction`` and ``seed``."""

@@ -26,7 +26,9 @@ class RalConfig:
 
     ``seed`` (batch shuffling) is an argument, not a setting: a run takes
     it from the config's top-level seed, so it is no field, no config key
-    and no part of the resolved config in ``report.json``.
+    and no part of the resolved config in ``report.json``. The optimizer
+    is Adam with its published constants (Kingma & Ba, ICLR 2015): beta1
+    0.9, beta2 0.999 and epsilon 1e-8; only its learning rate is a setting.
     """
     tau: float = 0.5                    # records with label confidence < tau go
     group_threshold: int = 4            # strictly more than this many removals kills a group
@@ -36,9 +38,6 @@ class RalConfig:
     finetune_epochs: int = 2
     batch_size: int = 64
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     confidence_mode: str = "label"      # "label" (own-label probability) or "max"
     fresh_optimizer: bool = False       # reset Adam state at each refinement round
     seed: InitVar[int] = 0
@@ -46,9 +45,8 @@ class RalConfig:
     def __post_init__(self, seed):
         check_types(self, "ral")
         self.seed = seed  # kept, so that dataclasses.replace keeps it too
-        for name in ("tau", "beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not 0.0 <= self.tau < 1.0:
+            raise ValueError(f"tau must be in [0, 1), got {self.tau}")
         for name in ("group_threshold", "iterations", "max_epochs", "finetune_epochs"):
             require_count(getattr(self, name), name, 0)
         if self.group_threshold > VARIANTS:
@@ -58,13 +56,11 @@ class RalConfig:
         # learning_rate 0 is allowed: it freezes the weights
         if not self.learning_rate >= 0.0:
             raise ValueError(f"learning_rate must be non-negative, got {self.learning_rate}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.confidence_mode not in ("label", "max"):
             raise ValueError(f"unknown confidence_mode {self.confidence_mode!r}")
 
     def make_optimizer(self):
-        return Adam(self.learning_rate, self.beta1, self.beta2, self.epsilon)
+        return Adam(self.learning_rate)
 
 
 @dataclass

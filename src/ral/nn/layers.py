@@ -243,12 +243,11 @@ class MaxPool2x2:
             raise ValueError(f"maxpool2x2 requires even spatial dims, got {H}x{W}")
         pairs = x.reshape(C, B, H, W // 2, 2)
         left, right = pairs[..., 0], pairs[..., 1]
-        if not _TRAINING.get():
-            rows = np.maximum(left, right).reshape(C, B, H // 2, 2, W // 2)
-            return np.maximum(rows[:, :, :, 0], rows[:, :, :, 1]), None
-        left_wins = (left >= right).reshape(C, B, H // 2, 2, W // 2)
         rows = np.maximum(left, right).reshape(C, B, H // 2, 2, W // 2)
         top, bottom = rows[:, :, :, 0], rows[:, :, :, 1]
+        if not _TRAINING.get():
+            return np.maximum(top, bottom), None
+        left_wins = (left >= right).reshape(C, B, H // 2, 2, W // 2)
         top_wins = top >= bottom
         # the column comparison of the winning row only, so that a losing
         # row's own comparison never reaches the cache; on bools, a > b is

@@ -115,13 +115,13 @@ def _shape_after(ls, in_shape):
     return (h // 2, w // 2, c)
 
 
-def build_classifier(input_size, channel_plan=(128, 256, 128), in_channels=3,
-                     classes=4, stem_channels=None):
+def build_classifier(input_size, channel_plan=(128, 256, 128), in_channels=3, classes=4):
     """Assemble the full patch-classifier spec.
 
     Layout: [3x3 conv stem + 2x2 maxpool] -> three conv blocks of
     (3x3, 1x1, 3x3) at widths ``channel_plan``, with a 2x2 maxpool after
     each of the first two blocks -> global average pool -> dense head.
+    The stem is as wide as the first block.
 
     ``input_size`` must be divisible by 8: the stem pool and the two trunk
     pools each halve the spatial size and reject odd inputs.
@@ -131,14 +131,13 @@ def build_classifier(input_size, channel_plan=(128, 256, 128), in_channels=3,
     if len(channel_plan) != 3:
         raise ValueError("channel_plan must have three block widths")
     c1, c2, c3 = channel_plan
-    stem = stem_channels if stem_channels is not None else c1
-    if min(stem, c1, c2, c3) < 1:
+    if min(channel_plan) < 1:
         raise ValueError(f"channel widths must be positive integers, got channel_plan "
-                         f"{list(channel_plan)} and stem_channels {stem_channels}")
+                         f"{list(channel_plan)}")
     conv = lambda k, c: LayerSpec("conv", k, c, "relu")
     pool = LayerSpec("maxpool", 2)
     layers = (
-        conv(3, stem), pool,
+        conv(3, c1), pool,
         # extraction trunk: 1x1 fusion conv between two 3x3 convs, per block
         conv(3, c1), conv(1, c1), conv(3, c1), pool,
         conv(3, c2), conv(1, c2), conv(3, c2), pool,
@@ -151,15 +150,14 @@ def build_classifier(input_size, channel_plan=(128, 256, 128), in_channels=3,
     return spec
 
 
-# Samples in flight per predict_proba pass, for the scoring pass, a
-# slide's grid and a whole evaluation split alike: one chunk of 64 per
-# forward() call in one lane, or a chunk of 32 in each of two lanes. The
-# chunk size never changes the bytes, since every sample is forwarded on
-# its own arithmetic, but it does change the time, as the patch matrices
-# grow with the chunk. One lane of plan 8/16/8 (one OpenBLAS thread, a
-# 2-core x86 host) took 169 us a record at 32 samples of 32x32, 190 us
-# at 64 and 225 us at 128; at 16x16 it took 48-51 us from 32 to 128.
-PREDICT_CHUNK = 64
+# Samples per forward() call of a predict_proba pass, for the scoring
+# pass, a slide's grid and a whole evaluation split alike, in one lane or
+# in each of two. The chunk size never changes the bytes, since every
+# sample is forwarded on its own arithmetic, but it does change the time,
+# as the patch matrices grow with the chunk. One lane of plan 8/16/8 (one
+# OpenBLAS thread, a 2-core x86 host, best of 15) took 124 us a record at
+# 32 samples of 32x32 against 136 us at 64; at 16x16, 37.7 against 37.1 us.
+PREDICT_CHUNK = 32
 
 # Inputs of at least 32x32 pixels run read-only passes in two lanes when
 # the process may use two CPUs. Below that a chunk is too little work per
@@ -311,16 +309,14 @@ class Network:
         lane reaches the caller once both lanes have stopped.
         """
         rows = np.arange(len(batch)) if rows is None else rows
-        lanes = self._lanes()
-        chunk = PREDICT_CHUNK // lanes
-        if len(rows) <= chunk:
+        if len(rows) <= PREDICT_CHUNK:
             return self.forward(batch[rows])
-        starts = range(0, len(rows), chunk)
+        starts = range(0, len(rows), PREDICT_CHUNK)
 
         def run(part):
-            return [self.forward(batch[rows[i:i + chunk]]) for i in part]
+            return [self.forward(batch[rows[i:i + PREDICT_CHUNK]]) for i in part]
 
-        if lanes == 1:
+        if self._lanes() == 1:
             return np.concatenate(run(starts))
         half = (len(starts) + 1) // 2
         helper = _HELPER.submit(run, starts[half:])

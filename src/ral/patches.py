@@ -22,8 +22,7 @@ VARIANTS = 8
 
 _type_hints = functools.cache(typing.get_type_hints)
 _KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
-          tuple[int, ...]: "a list of integers", int | None: "an integer or null",
-          str | None: "a string or null"}
+          tuple[int, ...]: "a list of integers", str | None: "a string or null"}
 
 
 def _has_type(value, hint):

@@ -39,9 +39,10 @@ DEFAULT_TEXTURES = ((1.5, 0.0), (3.0, 30.0), (6.0, 60.0), (12.0, 90.0))
 class SynthSpec:
     """The generator settings: the config file's ``synthetic`` section.
 
-    ``seed``, an argument that ``build`` takes from the config's top level,
-    and ``texture_params``, derived from ``classes``, are no fields: no
-    config keys and no part of the resolved config in ``report.json``."""
+    ``seed`` and ``val_fraction``, arguments that ``build`` takes from the
+    config's top level, and ``texture_params``, derived from ``classes``,
+    are no fields: no config keys and no part of the resolved config in
+    ``report.json``."""
     classes: int = 4
     slide_size: tuple[int, ...] = (128, 128)  # (H, W)
     window: int = 32
@@ -50,12 +51,12 @@ class SynthSpec:
     contamination_rho: float = 0.1   # fraction of regions per slide mislabeled
     noise_sigma: float = 0.05
     texture_amplitude: float = 0.25
-    val_fraction: float = 0.2
     seed: InitVar[int] = 0
+    val_fraction: InitVar[float] = 0.2
 
-    def __post_init__(self, seed):
+    def __post_init__(self, seed, val_fraction):
         check_types(self, "synthetic")
-        self.seed = seed  # kept, so that dataclasses.replace keeps it too
+        self.seed, self.val_fraction = seed, val_fraction  # dataclasses.replace keeps them
         for name in ("classes", "window", "slides_per_class"):
             require_count(getattr(self, name), f"generator {name}")
         if self.stride != self.window:
@@ -77,14 +78,14 @@ class SynthSpec:
             raise ValueError(f"contamination_rho {self.contamination_rho} needs a second "
                              f"class to paint mislabeled regions with, got classes 1")
         # an empty validation split is allowed here; runs reject it on load
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValueError(f"generator val_fraction must be in [0, 1), got {self.val_fraction}")
-        if _round_half_up(self.val_fraction * self.slides_per_class) >= self.slides_per_class:
-            raise ValueError(f"generator val_fraction {self.val_fraction} leaves no training "
+        if not 0.0 <= val_fraction < 1.0:
+            raise ValueError(f"generator val_fraction must be in [0, 1), got {val_fraction}")
+        if _round_half_up(val_fraction * self.slides_per_class) >= self.slides_per_class:
+            raise ValueError(f"generator val_fraction {val_fraction} leaves no training "
                              f"slide of {self.slides_per_class} per class")
 
-    def build(self, seed):
-        return replace(self, seed=seed)
+    def build(self, seed, val_fraction=0.2):
+        return replace(self, seed=seed, val_fraction=val_fraction)
 
     @property
     def texture_params(self):
@@ -230,7 +231,8 @@ def _generate_slide(spec: SynthSpec, class_idx, slide_idx, class_names):
 
 def generate(spec: SynthSpec):
     """Build all slides, their train/val split and the oracle. The split is
-    ``split_slides``, the one a flat dataset directory gets on load."""
+    ``split_slides`` at the spec's ``val_fraction``, as a flat dataset
+    directory is split on load."""
     class_names = spec.class_names()
     slides, all_entries = [], []
     for ci in range(spec.classes):
@@ -283,8 +285,8 @@ def write_dataset(dataset: SynthDataset, out_dir):
             save_image(d / f"{slide.slide_id}.ppm", slide.pixels)
     (out / "oracle.json").write_text(dataset.oracle.to_json())
     meta = asdict(dataset.spec)
-    # the derived textures and the seed, at their keys' places in earlier files
+    # the derived textures and the arguments, at their keys' places in earlier files
     meta.update(texture_params=dataset.spec.texture_params,
-                val_fraction=meta.pop("val_fraction"), seed=dataset.spec.seed)
+                val_fraction=dataset.spec.val_fraction, seed=dataset.spec.seed)
     (out / "generator.json").write_text(json.dumps(meta, indent=1))
     return out

@@ -53,8 +53,7 @@ DEFAULT_CONFIG_JSON = """\
    8,
    16,
    8
-  ],
-  "stem_channels": null
+  ]
  },
  "ral": {
   "tau": 0.5,
@@ -65,9 +64,6 @@ DEFAULT_CONFIG_JSON = """\
   "finetune_epochs": 2,
   "batch_size": 64,
   "learning_rate": 0.001,
-  "beta1": 0.9,
-  "beta2": 0.999,
-  "epsilon": 1e-08,
   "confidence_mode": "label",
   "fresh_optimizer": false
  },
@@ -82,8 +78,7 @@ DEFAULT_CONFIG_JSON = """\
   "slides_per_class": 10,
   "contamination_rho": 0.1,
   "noise_sigma": 0.05,
-  "texture_amplitude": 0.25,
-  "val_fraction": 0.2
+  "texture_amplitude": 0.25
  }
 }"""
 
@@ -91,14 +86,13 @@ DEFAULT_CONFIG_JSON = """\
 NON_DEFAULT_CONFIG = {
     "seed": 7, "dataset_path": "data", "output_dir": "runs/x", "val_fraction": 0.3,
     "tiling": {"window": 64, "stride": 16},
-    "network": {"channel_plan": [4, 8, 4], "stem_channels": 6},
+    "network": {"channel_plan": [4, 8, 4]},
     "ral": {"tau": 0.3, "group_threshold": 5, "iterations": 2, "max_epochs": 7,
             "target_train_accuracy": 0.9, "finetune_epochs": 3, "batch_size": 32,
-            "learning_rate": 0.01, "beta1": 0.8, "beta2": 0.99, "epsilon": 1e-7,
-            "confidence_mode": "max", "fresh_optimizer": True},
+            "learning_rate": 0.01, "confidence_mode": "max", "fresh_optimizer": True},
     "synthetic": {"classes": 3, "slide_size": [96, 64], "window": 16, "stride": 16,
                   "slides_per_class": 6, "contamination_rho": 0.2, "noise_sigma": 0.1,
-                  "texture_amplitude": 0.3, "val_fraction": 0.25},
+                  "texture_amplitude": 0.3},
 }
 
 
@@ -117,8 +111,6 @@ BOOL_COUNTS = [
     *[("network", "channel_plan", plan, f"network config key 'channel_plan' must be a list "
                                         f"of integers, got {json.dumps(plan)}")
       for plan in ([True, 2, 2], [2, True, 2], [2, 2, True])],
-    ("network", "stem_channels", True, "network config key 'stem_channels' must be an "
-                                       "integer or null, got true"),
 ]
 
 
@@ -147,6 +139,14 @@ class TestConfig:
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ValueError, match="unknown ral config keys"):
             ExperimentConfig.from_dict({"ral": {"tau": 0.5, "taus": 0.4}})
+        # settings that no longer exist: the split fraction is the top-level
+        # one, the stem is as wide as the first block, Adam's constants are fixed
+        for section, key, value in (("synthetic", "val_fraction", 0.2),
+                                    ("network", "stem_channels", None), ("ral", "beta1", 0.9),
+                                    ("ral", "beta2", 0.999), ("ral", "epsilon", 1e-8)):
+            with pytest.raises(ValueError,
+                               match=rf"^unknown {section} config keys: \['{key}'\]$"):
+                ExperimentConfig.from_dict({section: {key: value}})
 
     def test_round_trips_through_dict(self):
         for d in ({"seed": 3, "tiling": {"window": 64}}, {}, NON_DEFAULT_CONFIG):
@@ -165,12 +165,6 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value, message", [
         ("learning_rate", -0.01, "learning_rate must be non-negative, got -0.01"),
-        ("beta1", 1.0, "beta1 must be in [0, 1), got 1.0"),
-        ("beta1", -0.1, "beta1 must be in [0, 1), got -0.1"),
-        ("beta2", 1.0, "beta2 must be in [0, 1), got 1.0"),
-        ("beta2", -0.5, "beta2 must be in [0, 1), got -0.5"),
-        ("epsilon", 0.0, "epsilon must be positive, got 0.0"),
-        ("epsilon", -1e-8, "epsilon must be positive, got -1e-08"),
     ])
     def test_optimizer_settings_rejected(self, tmp_path, capsys, key, value, message):
         # no dataset exists: the ral section is checked when the config loads
@@ -180,9 +174,10 @@ class TestConfig:
         assert not (Path(cfg["output_dir"]) / "report.json").exists()
 
     def test_optimizer_bounds_included(self):
-        # a zero learning rate freezes training, and tests rely on it
-        config = RalConfig(learning_rate=0.0, beta1=0.0, beta2=0.0, epsilon=1e-30)
-        assert config.make_optimizer().lr == 0.0
+        # a zero learning rate freezes training, and tests rely on it; the
+        # other constants are Adam's published ones
+        adam = RalConfig(learning_rate=0.0).make_optimizer()
+        assert (adam.lr, adam.beta1, adam.beta2, adam.epsilon) == (0.0, 0.9, 0.999, 1e-8)
 
     def test_default_config_block_is_pinned(self):
         assert json.dumps(ExperimentConfig().to_dict(), indent=1) == DEFAULT_CONFIG_JSON
@@ -230,18 +225,12 @@ class TestConfig:
         ("synthetic", {"noise_sigma": -0.1}, "noise_sigma must be non-negative, got -0.1"),
         ("synthetic", {"slide_size": [0, 0]},
          "generator slide_size must be two positive integers, got [0, 0]"),
-        ("synthetic", {"val_fraction": 1.0}, "generator val_fraction must be in [0, 1), got 1.0"),
-        ("synthetic", {"val_fraction": -0.1},
-         "generator val_fraction must be in [0, 1), got -0.1"),
-        ("synthetic", {"val_fraction": 0.9},
-         "generator val_fraction 0.9 leaves no training slide of 5 per class"),
+        (None, {"val_fraction": 1.0}, "val_fraction must be in (0, 1), got 1.0"),
+        (None, {"val_fraction": -0.1}, "val_fraction must be in (0, 1), got -0.1"),
         ("network", {"channel_plan": [0, 16, 8]},
-         "channel widths must be positive integers, got channel_plan [0, 16, 8] "
-         "and stem_channels None"),
+         "channel widths must be positive integers, got channel_plan [0, 16, 8]"),
         ("network", {"channel_plan": [8.5, 16, 8]}, "network config key 'channel_plan' must be "
                                                     "a list of integers, got [8.5, 16, 8]"),
-        ("network", {"stem_channels": -2}, "channel widths must be positive integers, "
-                                           "got channel_plan [2, 4, 2] and stem_channels -2"),
         ("tiling", {"window": 16.0, "stride": 16.0},
          "tiling config key 'window' must be an integer, got 16.0"),
         ("tiling", {"stride": 8.0}, "tiling config key 'stride' must be an integer, got 8.0"),
@@ -278,13 +267,13 @@ class TestConfig:
         ("synthetic", {"slide_size": [64]},
          "generator slide_size must be two positive integers, got [64]"),
     ], ids=["rho", "window", "one-class", "no-slides", "float-slides", "sigma", "empty-size",
-            "val-1", "val-negative", "val-no-train", "zero-width", "float-width",
-            "negative-stem", "float-tiling-window", "float-tiling-stride", "zero-tiling-stride",
-            "float-batch", "zero-batch", "float-iterations", "negative-epochs",
-            "float-finetune-epochs", "float-group-threshold", "group-threshold-9",
-            "string-fresh-optimizer", "bool-learning-rate", "bool-sigma", "string-amplitude",
-            "string-target-accuracy", "string-tau", "string-val-fraction", "number-output-dir",
-            "number-dataset-path", "list-dataset-path", "three-entry-size", "one-entry-size"])
+            "val-1", "val-negative", "zero-width", "float-width", "float-tiling-window",
+            "float-tiling-stride", "zero-tiling-stride", "float-batch", "zero-batch",
+            "float-iterations", "negative-epochs", "float-finetune-epochs",
+            "float-group-threshold", "group-threshold-9", "string-fresh-optimizer",
+            "bool-learning-rate", "bool-sigma", "string-amplitude", "string-target-accuracy",
+            "string-tau", "string-val-fraction", "number-output-dir", "number-dataset-path",
+            "list-dataset-path", "three-entry-size", "one-entry-size"])
     def test_bad_values_rejected_at_load(self, tmp_path, capsys, monkeypatch, section, values,
                                          message):
         def no_load(*args, **kwargs):
@@ -317,8 +306,8 @@ class TestConfig:
         (lambda: TilingSpec(16.0, 16), "tiling config key 'window' must be an integer, got 16.0"),
         (lambda: SynthSpec(slide_size=(64, 64.0)),
          "synthetic config key 'slide_size' must be a list of integers, got [64, 64.0]"),
-        (lambda: NetworkSection(stem_channels=True),
-         "network config key 'stem_channels' must be an integer or null, got true"),
+        (lambda: NetworkSection(channel_plan=(8, 16.0, 8)),
+         "network config key 'channel_plan' must be a list of integers, got [8, 16.0, 8]"),
         (lambda: NetworkSection(channel_plan=[8, 16, 8]),
          "network config key 'channel_plan' must be a tuple of integers, got a list [8, 16, 8]"),
         (lambda: ExperimentConfig(val_fraction="0.2"),
@@ -414,6 +403,29 @@ class TestCommands:
         assert row["active_before"] == row["active_after"] == 16 * 4 * 8
         table1 = (Path(cfg["output_dir"]) / "table1.csv").read_text().splitlines()
         assert table1 == ["iteration,active_count", f"0,{row['active_after']}"]
+
+    def test_generate_splits_at_the_top_level_val_fraction(self, tmp_path):
+        cfg_path, cfg = tiny_config(tmp_path)
+        cfg["val_fraction"] = 0.5
+        cfg["synthetic"]["slides_per_class"] = 4
+        cfg_path.write_text(json.dumps(cfg))
+        data = Path(cfg["dataset_path"])
+        assert main(["generate", "--config", str(cfg_path), "--out", str(data)]) == 0
+        for split, per_class in (("train", 2), ("val", 2)):
+            dirs = sorted((data / split).iterdir())
+            assert len(dirs) == 4
+            assert [len(list(d.iterdir())) for d in dirs] == [per_class] * 4
+        assert json.loads((data / "generator.json").read_text())["val_fraction"] == 0.5
+
+    def test_generate_rejects_a_split_with_no_training_slide(self, tmp_path, capsys):
+        cfg_path, cfg = tiny_config(tmp_path)  # 5 slides per class
+        cfg["val_fraction"] = 0.9
+        cfg_path.write_text(json.dumps(cfg))
+        data = Path(cfg["dataset_path"])
+        assert main(["generate", "--config", str(cfg_path), "--out", str(data)]) == 1
+        assert ("ral: error: generator val_fraction 0.9 leaves no training slide of 5 per "
+                "class\n") in capsys.readouterr().err
+        assert [p.name for p in data.iterdir()] == ["error.log"]
 
     def test_dataset_directory_never_mutated(self, tmp_path):
         cfg_path, cfg = tiny_config(tmp_path)

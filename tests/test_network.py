@@ -389,7 +389,7 @@ def two_cpus(monkeypatch):
 def test_predict_proba_matches_training_forward_bytes(two_cpus, size, lanes):
     # the read-only path builds no caches but must compute the same bytes as
     # the training path, chunk by chunk, across several chunks, in one lane
-    # below 32x32 and in two lanes of smaller chunks from 32x32
+    # below 32x32 and in two lanes from 32x32
     net = Network(build_classifier(size, (2, 4, 2)), seed=12)
     rng = np.random.default_rng(13)
     x = rng.random((2 * PREDICT_CHUNK + 7, size, size, 3), dtype=np.float32)
@@ -420,7 +420,7 @@ def test_one_lane_gives_the_bytes_of_two(monkeypatch):
 @pytest.mark.parametrize("failing", ["helper", "caller"])
 def test_lane_exception_reaches_caller_after_both_lanes_stop(two_cpus, failing):
     net = Network(build_classifier(32, (2, 4, 2)), seed=19)
-    x = np.zeros((6 * (PREDICT_CHUNK // 2), 32, 32, 3), np.float32)  # 3 chunks a lane
+    x = np.zeros((6 * PREDICT_CHUNK, 32, 32, 3), np.float32)  # 3 chunks a lane
     caller = threading.get_ident()
     helper = network._HELPER.submit(threading.get_ident).result(timeout=10)
     fail_in, other = (helper, caller) if failing == "helper" else (caller, helper)

@@ -39,6 +39,9 @@ class TestSpec:
         assert (built.seed, spec.seed) == (11, 3)
         assert built == spec and dataclasses.asdict(built) == dataclasses.asdict(spec)
         assert dataclasses.replace(built, noise_sigma=0.1).seed == 11
+        split = spec.build(11, 0.4)
+        assert (split.val_fraction, built.val_fraction, spec.val_fraction) == (0.4, 0.2, 0.2)
+        assert dataclasses.replace(split, noise_sigma=0.1).val_fraction == 0.4
 
     def test_derived_textures_one_per_class_with_distinct_frequencies(self):
         for classes in range(1, 13):
