@@ -8,11 +8,13 @@ Two layouts are accepted:
 Every slide of a dataset, in both splits, is HxWxC with one C: the first
 slide's (``load_slide``, which reads ``ral predict-slide``'s image too).
 An ``oracle.json`` at the root, when present, carries mislabel ground
-truth for synthetic data.
+truth for synthetic data, and a ``generator.json`` beside it the grid of
+the oracle's regions.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 from .imageio import load_image
@@ -80,6 +82,9 @@ def load_dataset(root, val_fraction=0.2, seed=0):
     oracle_path = root / "oracle.json"
     if oracle_path.exists():
         oracle = MislabelOracle.from_json(oracle_path.read_text())
+        if (root / "generator.json").exists():
+            meta = json.loads((root / "generator.json").read_text())
+            oracle.grid = (meta["window"], meta["stride"])
     has_train, has_val = (root / "train").is_dir(), (root / "val").is_dir()
     if has_train != has_val:
         raise ValueError(f"{root}: found only one of train/ and val/")

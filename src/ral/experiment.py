@@ -9,8 +9,8 @@ Artifacts written to the output directory:
     audit.csv         iteration,patch_id,reason   (one row per removal)
     checkpoint.ralw   final weights (+ checkpoint.json network spec)
 
-Nothing here carries timestamps: identical config + seed reproduces every
-artifact byte for byte.
+Nothing here carries timestamps: identical config + seed, under one BLAS
+thread count, reproduces every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -67,6 +67,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None, write=True):
     out = Path(out_dir if out_dir is not None else config.output_dir)
     train_slides, val_slides, class_names, oracle = config.load_dataset()
     require_splits(train_slides, val_slides)
+    grid = (config.tiling.window, config.tiling.stride)
+    if oracle is not None and oracle.grid not in (None, grid):
+        raise ValueError(f"the oracle's regions are generator.json's window/stride "
+                         f"{oracle.grid[0]}/{oracle.grid[1]} cells, but tiling cuts "
+                         f"{grid[0]}/{grid[1]} cells: oracle metrics would score other pixels")
 
     ts = build_training_set(train_slides, config.tiling, class_names)
     # looked up before training, so that an oracle that lacks a group, or

@@ -107,10 +107,8 @@ def _train_epochs(net, ts: TrainingSet, config: RalConfig, adam, rng,
     a batch's loss or any of its gradients is not finite.
     """
     log = []
+    idx = ts.active_indices()  # callers reject an empty set; no epoch changes it
     for e in range(max_epochs):
-        idx = ts.active_indices()
-        if len(idx) == 0:
-            raise ValueError("cannot train on an empty active set")
         order = idx[rng.permutation(len(idx))]
         total_loss = 0.0
         total_hits = 0

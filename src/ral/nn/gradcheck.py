@@ -54,13 +54,13 @@ class GradCheckReport:
 
 
 def _signature(caches):
-    """Bytes identifying the active ReLU masks and pool argmax choices."""
+    """Bytes of the caches' bool arrays: the ReLU masks and max-pool winners."""
     parts = []
     for cache in caches:
         if not isinstance(cache, tuple):
             continue
         for item in cache:
-            if isinstance(item, np.ndarray) and item.dtype in (np.bool_, np.int64, np.intp):
+            if isinstance(item, np.ndarray) and item.dtype == np.bool_:
                 parts.append(item.tobytes())
     return b"".join(parts)
 

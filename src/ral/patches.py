@@ -1,11 +1,12 @@
 """Slide tiling and 8-fold rotation/flip augmentation.
 
-A slide is cut into window-sized patches on a regular grid (stride may be
-smaller than the window for overlapping tiles). Every cropped patch is
-expanded into its 8 square-symmetry variants: rotations by 0/90/180/270
-degrees, then the vertical flip of each. The 8 variants of one crop form a
-group, the unit on which the group-removal rule of the refinement loop
-operates. Every patch starts out carrying its parent slide's label.
+A slide is cut into window-sized patches on a regular grid, ``cell_grid``
+(stride may be smaller than the window for overlapping tiles), which
+``slices`` votes over too. Every crop expands into its 8 square-symmetry
+variants: rotations by 0/90/180/270 degrees, then the vertical flip of each.
+The 8 variants of one crop form a group, the unit on which the group-removal
+rule of the refinement loop operates. Every patch starts out carrying its
+parent slide's label.
 """
 
 from __future__ import annotations
@@ -126,20 +127,22 @@ def grid_counts(height, width, window, stride):
     return ((width - window) // stride + 1, (height - window) // stride + 1)
 
 
+def cell_grid(pixels, window, stride):
+    """Read-only (rows, cols, window, window, C) view of the full window
+    placements in HxWxC ``pixels``: cell (row, col) is at y, x = stride * (row, col)."""
+    grid_counts(pixels.shape[0], pixels.shape[1], window, stride)
+    view = np.lib.stride_tricks.sliding_window_view(pixels, (window, window), axis=(0, 1))
+    return view[::stride, ::stride].transpose(0, 1, 3, 4, 2)
+
+
 def tile(slide: SlideImage, spec: TilingSpec):
     """Crop all grid patches of a slide, row-major, as copies.
 
     Returns [((col, row), pixels), ...].
     """
-    cols, rows = grid_counts(slide.height, slide.width, spec.window, spec.stride)
-    out = []
-    for row in range(rows):
-        y0 = row * spec.stride
-        for col in range(cols):
-            x0 = col * spec.stride
-            out.append(((col, row),
-                        slide.pixels[y0:y0 + spec.window, x0:x0 + spec.window].copy()))
-    return out
+    grid = cell_grid(slide.pixels, spec.window, spec.stride)
+    return [((col, row), grid[row, col].copy())
+            for row in range(grid.shape[0]) for col in range(grid.shape[1])]
 
 
 def variant_transform(pixels, variant):
@@ -295,9 +298,9 @@ def build_manifest(slides, spec: TilingSpec, class_names):
 def build_training_set(slides, spec: TilingSpec, class_names=None):
     """Tile slides into a materialized TrainingSet.
 
-    Each crop is written once, into one preallocated (groups, H, W, C)
-    array; its 8 variants are derived when records are gathered, so the
-    set holds an eighth of its records' pixels.
+    Each crop is copied once, from its slide's ``cell_grid`` into one
+    preallocated (groups, H, W, C) array; its 8 variants are derived when
+    records are gathered, so the set holds an eighth of its records' pixels.
     """
     if class_names is None:
         class_names = sorted({s.class_label for s in slides})
@@ -306,11 +309,10 @@ def build_training_set(slides, spec: TilingSpec, class_names=None):
                          slides[0].pixels.shape[2]), dtype=np.float32)
     g = 0
     for slide in slides:
-        for _, crop in tile(slide, spec):
-            ts.crops[g] = crop
-            g += 1
-    if g * VARIANTS != len(ts):
-        raise AssertionError("pixel/record count mismatch")
+        grid = cell_grid(slide.pixels, spec.window, spec.stride)
+        n = grid.shape[0] * grid.shape[1]
+        ts.crops[g:g + n].reshape(grid.shape)[...] = grid  # a view of the contiguous rows
+        g += n
     return ts
 
 

@@ -7,9 +7,10 @@ labels. Count ties go to the tied class with the larger summed probability
 over all cells, and an exact tie after that falls back to the lowest class
 index, so the vote is fully deterministic.
 
-Cells are read straight out of each slide's pixels (``SlideCells``), and
-one ``predict_proba`` pass scores them, for one slide or for every slide
-of an evaluation split, in ``PREDICT_CHUNK`` chunks.
+Cells are read straight out of each slide's pixels by ``SlideCells``, on
+``patches.cell_grid``, the cut the training set is built by, and one
+``predict_proba`` pass scores them, for one slide or for every slide of an
+evaluation split, in ``PREDICT_CHUNK`` chunks.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .imageio import to_uint8
 from .metrics import macro_accuracy, plain_accuracy
-from .patches import SlideImage
+from .patches import SlideImage, cell_grid
 
 # Class-name keyed colors for rendered maps, with an indexed fallback
 # palette for other naming schemes. All colors are distinct.
@@ -96,15 +97,13 @@ class SlideCells:
     """
 
     def __init__(self, slides, window):
-        self.grids = []  # per slide: (rows, cols, window, window, C) view of its pixels
+        self.grids = []  # per slide: its cell_grid at stride = window
         for slide in slides:
             if slide.height % window or slide.width % window:
                 raise ValueError(
                     f"slide {slide.slide_id} is {slide.width}x{slide.height}, "
                     f"not divisible by window {window}")
-            rows, cols = slide.height // window, slide.width // window
-            self.grids.append(slide.pixels.reshape(rows, window, cols, window, -1)
-                              .swapaxes(1, 2))
+            self.grids.append(cell_grid(slide.pixels, window, window))
         self.cols = np.array([g.shape[1] for g in self.grids])
         self.starts = np.cumsum([0] + [g.shape[0] * g.shape[1] for g in self.grids])
 

@@ -9,8 +9,8 @@ oracle records, per region group, the assigned and true class, which makes
 the pruning behaviour of the refinement loop measurable - something real
 weakly-labeled datasets cannot offer.
 
-Regions coincide with the tiling grid (stride must equal the window), so
-"this patch group is mislabeled" is exact, not approximate.
+Regions tessellate (stride equals window), and ``ral ral`` requires its
+tiling to cut the same grid, so "this patch group is mislabeled" is exact.
 """
 
 from __future__ import annotations
@@ -129,6 +129,7 @@ class MislabelOracle:
 
     def __init__(self, entries):
         self.entries = {e.group_id: e for e in entries}
+        self.grid = None  # the regions' (window, stride), when generator.json is known
 
     def __len__(self):
         return len(self.entries)

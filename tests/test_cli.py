@@ -873,6 +873,33 @@ class TestOracleMetrics:
         assert steps == []
         assert not (Path(cfg["output_dir"]) / "report.json").exists()
 
+    # 16-px regions under 32-px cells share their slide/col/row ids with other
+    # pixels; 32-px regions under 16-px cells lack most cells' ids
+    @pytest.mark.parametrize("regions, cells, without_grid", [
+        (16, 32, "reached training"), (32, 16, "unknown group_id 'Benign_000/2/0'")],
+        ids=["finer-regions", "coarser-regions"])
+    def test_oracle_grid_other_than_the_tiling_fails_before_training(
+            self, tmp_path, capsys, monkeypatch, regions, cells, without_grid):
+        cfg_path, cfg = tiny_config(tmp_path)
+        cfg["synthetic"].update(slide_size=[64, 64], window=regions, stride=regions)
+        cfg["tiling"] = {"window": cells, "stride": cells}
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]]) == 0
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("reached training")
+
+        monkeypatch.setattr("ral.experiment.run_ral", no_training)
+        capsys.readouterr()
+        assert main(["ral", "--config", str(cfg_path)]) == 1
+        assert (f"the oracle's regions are generator.json's window/stride {regions}/{regions} "
+                f"cells, but tiling cuts {cells}/{cells} cells") in capsys.readouterr().err
+        assert not (Path(cfg["output_dir"]) / "report.json").exists()
+        # an oracle.json with no generator.json beside it has no grid to check
+        (Path(cfg["dataset_path"]) / "generator.json").unlink()
+        assert main(["ral", "--config", str(cfg_path)]) == 1
+        assert without_grid in capsys.readouterr().err
+
     def test_unmodified_oracle_passes_the_label_check(self, tmp_path, monkeypatch):
         cfg_path, cfg = tiny_config(tmp_path)
         main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])

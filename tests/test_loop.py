@@ -245,6 +245,23 @@ class TestPruneByGroup:
         assert prune_by_group(ts, now).size == 0
 
 
+@pytest.mark.parametrize("train, message", [
+    (lambda net, ts, config: initial_train(net, ts, config),
+     "cannot train on an empty training set"),
+    (lambda net, ts, config: finetune(net, ts, config, config.make_optimizer()),
+     "cannot finetune on an empty training set")], ids=["initial_train", "finetune"])
+def test_empty_active_set_rejected_before_any_step(monkeypatch, train, message):
+    ts = toy_set()
+    ts.active[:] = False
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("took a training step on an empty active set")
+
+    monkeypatch.setattr(Network, "loss_and_grads", no_step)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        train(dense_net(), ts, RalConfig(max_epochs=2, finetune_epochs=2))
+
+
 class TestFinetune:
     def test_zero_epochs_unchanged(self):
         ts = toy_set()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ral.patches import (SlideImage, SlideMeta, TilingSpec, augment8,
-                         build_manifest, build_training_set, grid_counts,
+                         build_manifest, build_training_set, cell_grid, grid_counts,
                          tile, variant_transform)
 
 CLASSES = ["Benign", "InSitu", "Invasive", "Normal"]
@@ -35,6 +35,35 @@ class TestGrid:
                     placed = len(range(0, dim - window + 1, stride))
                     cols, _ = grid_counts(dim, dim, window, stride)
                     assert cols == placed, (dim, window, stride)
+
+
+class TestCellGrid:
+    # stride = window and stride < window, on square, non-square and 1-channel slides
+    @pytest.mark.parametrize("h, w, c, window, stride", [
+        (8, 8, 3, 4, 4), (12, 20, 3, 4, 4), (10, 14, 3, 4, 3), (7, 5, 1, 3, 2),
+        (16, 24, 1, 8, 8), (9, 9, 2, 9, 1)])
+    def test_cells_are_the_explicit_slices(self, h, w, c, window, stride):
+        pixels = np.random.default_rng(h * w).random((h, w, c), dtype=np.float32)
+        grid = cell_grid(pixels, window, stride)
+        cols, rows = grid_counts(h, w, window, stride)
+        assert grid.shape == (rows, cols, window, window, c)
+        for row in range(rows):
+            for col in range(cols):
+                y, x = row * stride, col * stride
+                np.testing.assert_array_equal(grid[row, col],
+                                              pixels[y:y + window, x:x + window])
+        assert np.shares_memory(grid, pixels)
+
+    def test_view_is_read_only(self):
+        pixels = np.zeros((8, 8, 3), dtype=np.float32)
+        grid = cell_grid(pixels, 4, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0, 0, 0, 0] = 1.0
+        assert not pixels.any()
+
+    def test_window_larger_than_slide_rejected(self):
+        with pytest.raises(ValueError, match="window 8 larger than image 4x16"):
+            cell_grid(np.zeros((16, 4, 3), dtype=np.float32), 8, 8)
 
 
 class TestTile:
@@ -193,6 +222,16 @@ class TestTrainingSetBuild:
         for k, i in enumerate(rows):
             crop = ts.crops[ts.group[i]]
             np.testing.assert_array_equal(got[k], variant_transform(crop, ts.variant[i]))
+
+    @pytest.mark.parametrize("spec", [TilingSpec(4, 4), TilingSpec(4, 2), TilingSpec(5, 3)])
+    def test_crops_are_the_tiles(self, spec):
+        slides = [make_slide("a", "Normal", 12, 10, seed=6),
+                  make_slide("b", "Benign", 8, 14, seed=7)]
+        ts = build_training_set(slides, spec)
+        tiles = [crop for slide in slides for _, crop in tile(slide, spec)]
+        assert ts.crops.shape == (len(tiles), spec.window, spec.window, 3)
+        for got, want in zip(ts.crops, tiles):
+            np.testing.assert_array_equal(got, want)
 
     def test_deactivate_and_counts(self):
         slides = [make_slide("a", "Normal", 4, 4, seed=3)]
