@@ -84,6 +84,8 @@ def load_dataset(root, val_fraction=0.2, seed=0):
         oracle = MislabelOracle.from_json(oracle_path.read_text())
         if (root / "generator.json").exists():
             meta = json.loads((root / "generator.json").read_text())
+            if not isinstance(meta, dict) or not {"window", "stride"} <= meta.keys():
+                raise ValueError(f"{root / 'generator.json'}: no window and stride of the regions")
             oracle.grid = (meta["window"], meta["stride"])
     has_train, has_val = (root / "train").is_dir(), (root / "val").is_dir()
     if has_train != has_val:

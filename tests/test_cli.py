@@ -900,6 +900,15 @@ class TestOracleMetrics:
         assert main(["ral", "--config", str(cfg_path)]) == 1
         assert without_grid in capsys.readouterr().err
 
+    @pytest.mark.parametrize("meta", [[], {"window": 16}, {"stride": 16}])
+    def test_generator_json_without_the_grid_rejected(self, tmp_path, meta):
+        cfg_path, cfg = tiny_config(tmp_path)
+        main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
+        path = Path(cfg["dataset_path"]) / "generator.json"
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no window and stride"):
+            ExperimentConfig.from_dict(cfg).load_dataset()
+
     def test_unmodified_oracle_passes_the_label_check(self, tmp_path, monkeypatch):
         cfg_path, cfg = tiny_config(tmp_path)
         main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
