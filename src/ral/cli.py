@@ -120,7 +120,14 @@ def cmd_ral(args, config, out):
         print(f"oracle: mislabel recall {m.mislabel_recall:.3f}, "
               f"clean false-removal rate {m.clean_false_removal_rate:.3f}")
     print(f"status {output.result.status}, {output.result.total_epochs} epochs -> {out}")
-    return 0
+    if output.result.status == "completed":
+        return 0
+    # every artifact is written, so the failure can be audited; no traceback to log
+    r = output.result.reports[-1]
+    print(f"ral: error: run ended {output.result.status} in round {r.k}: "
+          f"{r.active_before - r.active_after} of {r.active_before} records removed",
+          file=sys.stderr)
+    return 1
 
 
 def _p(v):

@@ -27,8 +27,8 @@ class RalConfig:
     ``seed`` (batch shuffling) is an argument, not a setting: a run takes
     it from the config's top-level seed, so it is no field, no config key
     and no part of the resolved config in ``report.json``. The optimizer
-    is Adam with its published constants (Kingma & Ba, ICLR 2015): beta1
-    0.9, beta2 0.999 and epsilon 1e-8; only its learning rate is a setting.
+    is ``nn.Adam``, whose constants are fixed there; only its learning
+    rate is a setting.
     """
     tau: float = 0.5                    # records with label confidence < tau go
     group_threshold: int = 4            # strictly more than this many removals kills a group
@@ -38,8 +38,6 @@ class RalConfig:
     finetune_epochs: int = 2
     batch_size: int = 64
     learning_rate: float = 1e-3
-    confidence_mode: str = "label"      # "label" (own-label probability) or "max"
-    fresh_optimizer: bool = False       # reset Adam state at each refinement round
     seed: InitVar[int] = 0
 
     def __post_init__(self, seed):
@@ -56,8 +54,6 @@ class RalConfig:
         # learning_rate 0 is allowed: it freezes the weights
         if not self.learning_rate >= 0.0:
             raise ValueError(f"learning_rate must be non-negative, got {self.learning_rate}")
-        if self.confidence_mode not in ("label", "max"):
-            raise ValueError(f"unknown confidence_mode {self.confidence_mode!r}")
 
     def make_optimizer(self):
         return Adam(self.learning_rate)
@@ -150,7 +146,7 @@ def finetune(net, ts: TrainingSet, config: RalConfig, adam, rng=None, epoch_offs
     """Continue training on the current active records for finetune_epochs.
 
     The optimizer is passed in, not rebuilt: refinement continues the same
-    optimization trajectory unless the caller resets it.
+    optimization trajectory.
     """
     if ts.n_active == 0:
         raise ValueError("cannot finetune on an empty training set")
@@ -159,25 +155,19 @@ def finetune(net, ts: TrainingSet, config: RalConfig, adam, rng=None, epoch_offs
                          config.finetune_epochs, None, epoch_offset)
 
 
-def score_training_set(net, ts: TrainingSet, mode="label"):
+def score_training_set(net, ts: TrainingSet):
     """One read-only pass over the active records.
 
     Returns (conf, pred), two len(ts) arrays set on active rows only: the
-    model's confidence (float64, NaN elsewhere) and its argmax class (-1
-    elsewhere). In "label" mode the confidence is the probability the model
-    assigns to the record's own label (low = the model disputes the label);
-    in "max" mode it is the probability of the model's favorite class.
+    probability the model assigns to the record's own label (float64, NaN
+    elsewhere; low = the model disputes the label) and its argmax class
+    (-1 elsewhere).
     """
-    if mode not in ("label", "max"):
-        raise ValueError(f"unknown confidence mode {mode!r}")
     idx = ts.active_indices()
     probs = net.predict_proba(ts.images, idx)
     conf = np.full(len(ts), np.nan)
     pred = np.full(len(ts), -1, dtype=np.intp)
-    if mode == "label":
-        conf[idx] = probs[np.arange(len(idx)), ts.label[idx]]
-    else:
-        conf[idx] = probs.max(axis=1)
+    conf[idx] = probs[np.arange(len(idx)), ts.label[idx]]
     pred[idx] = probs.argmax(axis=1)
     return conf, pred
 
@@ -229,7 +219,7 @@ def run_ral(net, ts: TrainingSet, config: RalConfig, evaluator=None):
         result.reports.append(report)
 
     def score_and_measure(report):
-        conf, pred = score_training_set(net, ts, config.confidence_mode)
+        conf, pred = score_training_set(net, ts)
         idx = ts.active_indices()
         report.train_patch_acc = macro_accuracy(ts.label[idx], pred[idx], len(ts.class_names))
         measure(report)
@@ -255,8 +245,6 @@ def run_ral(net, ts: TrainingSet, config: RalConfig, evaluator=None):
             measure(report)
             result.status = "empty_refined_set"
             return result
-        if config.fresh_optimizer:
-            adam.reset()
         log_k = finetune(net, ts, config, adam, rng, epoch_offset=result.total_epochs)
         result.total_epochs += len(log_k)
         result.epoch_logs.append(log_k)

@@ -15,14 +15,13 @@ class Adam:
         p -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
 
     Parameters are updated in place; each tensor's update depends only on
-    its own gradient history.
+    its own gradient history. b1, b2 and eps are the published constants
+    (Kingma & Ba, ICLR 2015); only the learning rate is an argument.
     """
+    beta1, beta2, epsilon = 0.9, 0.999, 1e-8
 
-    def __init__(self, lr=1e-4, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, lr=1e-4):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self.m = None
         self.v = None
@@ -46,9 +45,3 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
-
-    def reset(self):
-        self.t = 0
-        self.m = None
-        self.v = None
-

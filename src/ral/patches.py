@@ -22,7 +22,7 @@ VARIANTS = 8
 
 
 _type_hints = functools.cache(typing.get_type_hints)
-_KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+_KINDS = {int: "an integer", float: "a number", str: "a string",
           tuple[int, ...]: "a list of integers", str | None: "a string or null"}
 
 

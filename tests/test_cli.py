@@ -63,9 +63,7 @@ DEFAULT_CONFIG_JSON = """\
   "target_train_accuracy": 1.01,
   "finetune_epochs": 2,
   "batch_size": 64,
-  "learning_rate": 0.001,
-  "confidence_mode": "label",
-  "fresh_optimizer": false
+  "learning_rate": 0.001
  },
  "synthetic": {
   "classes": 4,
@@ -89,7 +87,7 @@ NON_DEFAULT_CONFIG = {
     "network": {"channel_plan": [4, 8, 4]},
     "ral": {"tau": 0.3, "group_threshold": 5, "iterations": 2, "max_epochs": 7,
             "target_train_accuracy": 0.9, "finetune_epochs": 3, "batch_size": 32,
-            "learning_rate": 0.01, "confidence_mode": "max", "fresh_optimizer": True},
+            "learning_rate": 0.01},
     "synthetic": {"classes": 3, "slide_size": [96, 64], "window": 16, "stride": 16,
                   "slides_per_class": 6, "contamination_rho": 0.2, "noise_sigma": 0.1,
                   "texture_amplitude": 0.3},
@@ -140,10 +138,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown ral config keys"):
             ExperimentConfig.from_dict({"ral": {"tau": 0.5, "taus": 0.4}})
         # settings that no longer exist: the split fraction is the top-level
-        # one, the stem is as wide as the first block, Adam's constants are fixed
+        # one, the stem is as wide as the first block, Adam's constants are
+        # fixed, confidence is the own label's probability and Adam is never reset
         for section, key, value in (("synthetic", "val_fraction", 0.2),
                                     ("network", "stem_channels", None), ("ral", "beta1", 0.9),
-                                    ("ral", "beta2", 0.999), ("ral", "epsilon", 1e-8)):
+                                    ("ral", "beta2", 0.999), ("ral", "epsilon", 1e-8),
+                                    ("ral", "confidence_mode", "label"),
+                                    ("ral", "fresh_optimizer", False)):
             with pytest.raises(ValueError,
                                match=rf"^unknown {section} config keys: \['{key}'\]$"):
                 ExperimentConfig.from_dict({section: {key: value}})
@@ -244,8 +245,8 @@ class TestConfig:
         ("ral", {"group_threshold": 4.0},
          "ral config key 'group_threshold' must be an integer, got 4.0"),
         ("ral", {"group_threshold": 9}, "group_threshold must be at most 8, got 9"),
-        ("ral", {"fresh_optimizer": "no"},
-         "ral config key 'fresh_optimizer' must be a boolean, got \"no\""),
+        ("ral", {"batch_size": "64"}, "ral config key 'batch_size' must be an integer, "
+                                      "got \"64\""),
         ("ral", {"learning_rate": True}, "ral config key 'learning_rate' must be a number, "
                                          "got true"),
         ("synthetic", {"noise_sigma": True}, "synthetic config key 'noise_sigma' must be a "
@@ -270,7 +271,7 @@ class TestConfig:
             "val-1", "val-negative", "zero-width", "float-width", "float-tiling-window",
             "float-tiling-stride", "zero-tiling-stride", "float-batch", "zero-batch",
             "float-iterations", "negative-epochs", "float-finetune-epochs",
-            "float-group-threshold", "group-threshold-9", "string-fresh-optimizer",
+            "float-group-threshold", "group-threshold-9", "string-batch-size",
             "bool-learning-rate", "bool-sigma", "string-amplitude", "string-target-accuracy",
             "string-tau", "string-val-fraction", "number-output-dir", "number-dataset-path",
             "list-dataset-path", "three-entry-size", "one-entry-size"])
@@ -301,8 +302,7 @@ class TestConfig:
             ExperimentConfig.from_dict({section: {key: value}})
 
     @pytest.mark.parametrize("build, message", [
-        (lambda: RalConfig(fresh_optimizer="no"),
-         "ral config key 'fresh_optimizer' must be a boolean, got \"no\""),
+        (lambda: RalConfig(tau="0.5"), "ral config key 'tau' must be a number, got \"0.5\""),
         (lambda: TilingSpec(16.0, 16), "tiling config key 'window' must be an integer, got 16.0"),
         (lambda: SynthSpec(slide_size=(64, 64.0)),
          "synthetic config key 'slide_size' must be a list of integers, got [64, 64.0]"),
@@ -370,7 +370,8 @@ class TestConfig:
 
 class TestCommands:
     def test_generate_then_ral_writes_all_artifacts(self, tmp_path):
-        cfg_path, cfg = tiny_config(tmp_path)
+        # tau 0.24 completes the round (0.5 empties the set, and exits 1)
+        cfg_path, cfg = tiny_config(tmp_path, tau=0.24)
         assert main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]]) == 0
         assert main(["ral", "--config", str(cfg_path)]) == 0
         out = Path(cfg["output_dir"])
@@ -383,7 +384,7 @@ class TestCommands:
         assert len(report["iterations"]) <= 2
 
     def test_ral_is_byte_deterministic(self, tmp_path):
-        cfg_path, cfg = tiny_config(tmp_path)
+        cfg_path, cfg = tiny_config(tmp_path, tau=0.24)
         main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
         out = Path(cfg["output_dir"])
         assert main(["ral", "--config", str(cfg_path)]) == 0
@@ -803,12 +804,13 @@ class TestMalformedCheckpointSpec:
 
 
 class TestOracleMetrics:
-    # tau 0.24 removes part of the records; tau 0.5 empties the set
+    # tau 0.24 removes part of the records; tau 0.5 empties the set, so
+    # ral ral exits 1 after writing its artifacts
     @pytest.mark.parametrize("tau", [0.24, 0.5])
     def test_match_a_patch_id_reference(self, tmp_path, tau):
         cfg_path, cfg = tiny_config(tmp_path, tau=tau)
         main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
-        assert main(["ral", "--config", str(cfg_path)]) == 0
+        assert main(["ral", "--config", str(cfg_path)]) == (1 if tau == 0.5 else 0)
         data, out = Path(cfg["dataset_path"]), Path(cfg["output_dir"])
         # reference: score patch id strings, as audit.csv and oracle.json spell them
         oracle = {e["group_id"]: e["assigned_label"] != e["true_label"]
@@ -910,7 +912,7 @@ class TestOracleMetrics:
             ExperimentConfig.from_dict(cfg).load_dataset()
 
     def test_unmodified_oracle_passes_the_label_check(self, tmp_path, monkeypatch):
-        cfg_path, cfg = tiny_config(tmp_path)
+        cfg_path, cfg = tiny_config(tmp_path, tau=0.24)  # a run that completes
         main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
         checked = []
         lookup = MislabelOracle.mislabeled
@@ -926,7 +928,7 @@ class TestOracleMetrics:
 
 
 class TestRunExperiment:
-    def test_empty_set_halt_reported(self, tmp_path):
+    def test_empty_set_halt_reported(self, tmp_path, capsys):
         # zero learning rate keeps the net uniform: everything gets pruned
         cfg_path, cfg = tiny_config(tmp_path, learning_rate=0.0, max_epochs=1)
         main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
@@ -937,6 +939,15 @@ class TestRunExperiment:
         assert report["status"] == "empty_refined_set"
         assert report["iterations"][-1]["active_after"] == 0
         assert report["iterations"][-1]["train_patch_acc"] is None
+        # the command writes every artifact, then fails naming the round
+        n = report["iterations"][-1]["active_before"]
+        capsys.readouterr()
+        assert main(["ral", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 1
+        assert capsys.readouterr().err == (f"ral: error: run ended empty_refined_set in round 1: "
+                                           f"{n} of {n} records removed\n")
+        written = {p.name for p in (tmp_path / "cli").iterdir()}
+        assert {"report.json", "audit.csv", "checkpoint.ralw"} <= written
+        assert "error.log" not in written
 
     def test_trains_with_the_top_level_seed(self, tmp_path, monkeypatch):
         import ral.experiment

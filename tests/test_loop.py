@@ -131,13 +131,6 @@ class TestScore:
         assert np.isnan(conf[0]) and pred[0] == -1
         assert np.isfinite(conf[1:]).all() and (pred[1:] >= 0).all()
 
-    def test_max_mode(self):
-        ts = toy_set()
-        net = zeroed(dense_net())
-        net.layers[0].b[1] = 50.0
-        conf, _ = score_training_set(net, ts, mode="max")
-        np.testing.assert_allclose(conf, 1.0, atol=1e-6)
-
 
 class TestPruneByConfidence:
     def test_strict_threshold_boundary(self):
@@ -396,9 +389,9 @@ class TestRunRal:
         adam = config.make_optimizer()
         rng = np.random.default_rng(config.seed)
         initial_train(net2, ts2, config, adam, rng)
-        score_training_set(net2, ts2, config.confidence_mode)
+        score_training_set(net2, ts2)
         finetune(net2, ts2, config, adam, rng)
-        score_training_set(net2, ts2, config.confidence_mode)
+        score_training_set(net2, ts2)
         finetune(net2, ts2, config, adam, rng)
         for a, b in zip(net1.parameters(), net2.parameters()):
             np.testing.assert_array_equal(a, b)
