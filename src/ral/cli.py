@@ -141,11 +141,19 @@ def _require_classes(net, class_names, checkpoint):
 
 
 def cmd_eval(args, config, out):
+    """Patch and slide accuracy of the checkpoint on both splits, written as
+    eval.json. The grid window is the checkpoint's input size, whatever the
+    config's tiling; a checkpoint whose class or channel count is not the
+    dataset's is rejected before any forward pass or write."""
     net = load_checkpoint(args.checkpoint)
     train_slides, val_slides, class_names, _ = config.load_dataset()
     require_splits(train_slides, val_slides)
     _require_classes(net, class_names, args.checkpoint)
-    summary = {split: evaluate_slides(net, slides, config.tiling.window, class_names)
+    window, _, channels = net.spec.input
+    if train_slides[0].pixels.shape[2] != channels:  # every slide has the first one's count
+        raise ValueError(f"checkpoint {args.checkpoint} takes {channels}-channel input, but "
+                         f"the dataset's slides have {train_slides[0].pixels.shape[2]} channels")
+    summary = {split: evaluate_slides(net, slides, window, class_names)
                for split, slides in (("train", train_slides), ("val", val_slides))}
     (out / "eval.json").write_text(json.dumps(summary, indent=1) + "\n")
     for split, row in summary.items():
@@ -160,11 +168,12 @@ def cmd_predict_slide(args, config, out):
     else:
         class_names = [f"class{i}" for i in range(net.spec.classes)]
     _require_classes(net, class_names, args.checkpoint)
-    slide = load_slide(args.image, class_names[0], net.spec.input[2],
+    window, _, channels = net.spec.input
+    slide = load_slide(args.image, class_names[0], channels,
                        f"the input of checkpoint {args.checkpoint}")
-    pred = predict_slide(net, slide, config.tiling.window)
+    pred = predict_slide(net, slide, window)
     map_path = out / f"classmap_{slide.slide_id}.ppm"
-    save_image(map_path, render_class_map(pred, class_names, cell_size=config.tiling.window))
+    save_image(map_path, render_class_map(pred, class_names, cell_size=window))
     counts = ", ".join(f"{class_names[c]}:{n}" for c, n in sorted(pred.vote_counts.items()))
     print(f"{slide.slide_id}: {class_names[pred.voted_label]} "
           f"(votes {counts}{', tie broken' if pred.tie_broken else ''}) -> {map_path}")

@@ -120,7 +120,7 @@ def _train_epochs(net, ts: TrainingSet, config: RalConfig, adam, rng,
                 raise FloatingPointError(
                     f"training diverged: non-finite loss or gradient at epoch "
                     f"{epoch_offset + e}, batch {start // config.batch_size}")
-            adam.step([net.theta], [grad])
+            adam.step(net.theta, grad)
             total_loss += loss * len(take)
             total_hits += int((logits.argmax(axis=1) == y).sum())
         stats = EpochStats(epoch_offset + e, total_loss / len(order),

@@ -6,42 +6,42 @@ import numpy as np
 
 
 class Adam:
-    """Keeps one (m, v) moment pair per parameter tensor and a step count.
+    """Keeps one (m, v) moment pair, shaped like the one array it steps,
+    and a step count.
 
-    step() applies, for each parameter with gradient g:
+    step(p, g) applies, elementwise, for the parameter array p and its
+    gradient g:
         t += 1
         m = b1*m + (1-b1)*g
         v = b2*v + (1-b2)*g*g
         p -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
 
-    Parameters are updated in place; each tensor's update depends only on
-    its own gradient history. b1, b2 and eps are the published constants
-    (Kingma & Ba, ICLR 2015); only the learning rate is an argument.
+    p is updated in place. Each element's update depends only on its own
+    gradient history, so one step over a concatenation of arrays equals a
+    step of its own on each part; the training loop steps the network's
+    one parameter vector, ``net.theta``. b1, b2 and eps are the published
+    constants (Kingma & Ba, ICLR 2015); the learning rate is the one
+    argument, and ``loop.RalConfig.learning_rate`` owns its default.
     """
     beta1, beta2, epsilon = 0.9, 0.999, 1e-8
 
-    def __init__(self, lr=1e-4):
+    def __init__(self, lr):
         self.lr = lr
         self.t = 0
-        self.m = None
-        self.v = None
+        self.m = self.v = None
 
-    def step(self, params, grads):
-        if len(params) != len(grads):
-            raise ValueError(f"{len(params)} params but {len(grads)} grads")
+    def step(self, p, g):
+        if p.shape != g.shape:
+            raise ValueError(f"param shape {p.shape} vs grad shape {g.shape}")
         if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
-        elif len(self.m) != len(params):
-            raise ValueError("optimizer state does not match parameter count")
+            self.m, self.v = np.zeros_like(p), np.zeros_like(p)
+        elif self.m.shape != p.shape:
+            raise ValueError(f"optimizer state shape {self.m.shape} vs param shape {p.shape}")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            if p.shape != g.shape:
-                raise ValueError(f"param shape {p.shape} vs grad shape {g.shape}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * (g * g)
+        p -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.epsilon)

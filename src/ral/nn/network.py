@@ -115,13 +115,15 @@ def _shape_after(ls, in_shape):
     return (h // 2, w // 2, c)
 
 
-def build_classifier(input_size, channel_plan=(128, 256, 128), in_channels=3, classes=4):
+def build_classifier(input_size, channel_plan, in_channels=3, classes=4):
     """Assemble the full patch-classifier spec.
 
     Layout: [3x3 conv stem + 2x2 maxpool] -> three conv blocks of
     (3x3, 1x1, 3x3) at widths ``channel_plan``, with a 2x2 maxpool after
     each of the first two blocks -> global average pool -> dense head.
-    The stem is as wide as the first block.
+    The stem is as wide as the first block. ``channel_plan`` has no
+    default here: the config's ``network.channel_plan`` owns it
+    (``ExperimentConfig.network_spec``).
 
     ``input_size`` must be divisible by 8: the stem pool and the two trunk
     pools each halve the spatial size and reject odd inputs.

@@ -33,6 +33,7 @@ DEFAULT_CLASS_NAMES = ("Normal", "Benign", "InSitu", "Invasive")
 # (cycles per window, orientation degrees): frequencies spaced by factor 2
 # so classes stay separable under any rotation/flip of the patch.
 DEFAULT_TEXTURES = ((1.5, 0.0), (3.0, 30.0), (6.0, 60.0), (12.0, 90.0))
+TEXTURE_AMPLITUDE = 0.25  # of every sinusoid around the mid-grey 0.5
 
 
 @dataclass
@@ -40,9 +41,9 @@ class SynthSpec:
     """The generator settings: the config file's ``synthetic`` section.
 
     ``seed`` and ``val_fraction``, arguments that ``build`` takes from the
-    config's top level, and ``texture_params``, derived from ``classes``,
-    are no fields: no config keys and no part of the resolved config in
-    ``report.json``."""
+    config's top level, ``texture_params``, derived from ``classes``, and
+    the constant ``TEXTURE_AMPLITUDE`` are no fields: no config keys and no
+    part of the resolved config in ``report.json``."""
     classes: int = 4
     slide_size: tuple[int, ...] = (128, 128)  # (H, W)
     window: int = 32
@@ -50,7 +51,6 @@ class SynthSpec:
     slides_per_class: int = 10
     contamination_rho: float = 0.1   # fraction of regions per slide mislabeled
     noise_sigma: float = 0.05
-    texture_amplitude: float = 0.25
     seed: InitVar[int] = 0
     val_fraction: InitVar[float] = 0.2
 
@@ -193,11 +193,11 @@ class SynthDataset:
     oracle: MislabelOracle
 
 
-def _texture_tile(rng, window, freq, theta_deg, phase, amplitude, sigma):
+def _texture_tile(rng, window, freq, theta_deg, phase, sigma):
     theta = np.deg2rad(theta_deg)
     y, x = np.mgrid[0:window, 0:window].astype(np.float64)
     u = 2.0 * np.pi * freq * (x * np.cos(theta) + y * np.sin(theta)) / window
-    base = 0.5 + amplitude * np.sin(u + phase)
+    base = 0.5 + TEXTURE_AMPLITUDE * np.sin(u + phase)
     tile = base[:, :, None] + rng.normal(0.0, sigma, size=(window, window, 3))
     return np.clip(tile, 0.0, 1.0).astype(np.float32)
 
@@ -220,8 +220,7 @@ def _generate_slide(spec: SynthSpec, class_idx, slide_idx, class_names):
             true_idx = int(others[rng.integers(len(others))])
         freq, theta = spec.texture_params[true_idx]
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
-        tile = _texture_tile(rng, spec.window, freq, theta, phase,
-                             spec.texture_amplitude, spec.noise_sigma)
+        tile = _texture_tile(rng, spec.window, freq, theta, phase, spec.noise_sigma)
         pixels[row * spec.window:(row + 1) * spec.window,
                col * spec.window:(col + 1) * spec.window] = tile
         entries.append(OracleEntry(make_group_id(slide_id, col, row),

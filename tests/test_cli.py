@@ -11,7 +11,7 @@ import pytest
 from ral.cli import main, output_lock
 from ral.config import ExperimentConfig, NetworkSection
 from ral.experiment import run_experiment
-from ral.imageio import save_image, save_ralt
+from ral.imageio import load_image, save_image, save_ralt
 from ral.loop import RalConfig
 from ral.nn import Network, build_classifier, network, save_checkpoint
 from ral.patches import TilingSpec
@@ -75,8 +75,7 @@ DEFAULT_CONFIG_JSON = """\
   "stride": 32,
   "slides_per_class": 10,
   "contamination_rho": 0.1,
-  "noise_sigma": 0.05,
-  "texture_amplitude": 0.25
+  "noise_sigma": 0.05
  }
 }"""
 
@@ -89,8 +88,7 @@ NON_DEFAULT_CONFIG = {
             "target_train_accuracy": 0.9, "finetune_epochs": 3, "batch_size": 32,
             "learning_rate": 0.01},
     "synthetic": {"classes": 3, "slide_size": [96, 64], "window": 16, "stride": 16,
-                  "slides_per_class": 6, "contamination_rho": 0.2, "noise_sigma": 0.1,
-                  "texture_amplitude": 0.3},
+                  "slides_per_class": 6, "contamination_rho": 0.2, "noise_sigma": 0.1},
 }
 
 
@@ -139,8 +137,10 @@ class TestConfig:
             ExperimentConfig.from_dict({"ral": {"tau": 0.5, "taus": 0.4}})
         # settings that no longer exist: the split fraction is the top-level
         # one, the stem is as wide as the first block, Adam's constants are
-        # fixed, confidence is the own label's probability and Adam is never reset
+        # fixed, confidence is the own label's probability, Adam is never reset
+        # and the texture amplitude is synth.TEXTURE_AMPLITUDE
         for section, key, value in (("synthetic", "val_fraction", 0.2),
+                                    ("synthetic", "texture_amplitude", 0.25),
                                     ("network", "stem_channels", None), ("ral", "beta1", 0.9),
                                     ("ral", "beta2", 0.999), ("ral", "epsilon", 1e-8),
                                     ("ral", "confidence_mode", "label"),
@@ -251,7 +251,7 @@ class TestConfig:
                                          "got true"),
         ("synthetic", {"noise_sigma": True}, "synthetic config key 'noise_sigma' must be a "
                                              "number, got true"),
-        ("synthetic", {"texture_amplitude": "x"}, "synthetic config key 'texture_amplitude' "
+        ("synthetic", {"contamination_rho": "x"}, "synthetic config key 'contamination_rho' "
                                                   "must be a number, got \"x\""),
         ("ral", {"target_train_accuracy": "x"}, "ral config key 'target_train_accuracy' must "
                                                 "be a number, got \"x\""),
@@ -272,7 +272,7 @@ class TestConfig:
             "float-tiling-stride", "zero-tiling-stride", "float-batch", "zero-batch",
             "float-iterations", "negative-epochs", "float-finetune-epochs",
             "float-group-threshold", "group-threshold-9", "string-batch-size",
-            "bool-learning-rate", "bool-sigma", "string-amplitude", "string-target-accuracy",
+            "bool-learning-rate", "bool-sigma", "string-rho", "string-target-accuracy",
             "string-tau", "string-val-fraction", "number-output-dir", "number-dataset-path",
             "list-dataset-path", "three-entry-size", "one-entry-size"])
     def test_bad_values_rejected_at_load(self, tmp_path, capsys, monkeypatch, section, values,
@@ -718,15 +718,16 @@ def test_dataset_path_is_required(tmp_path, capsys, command):
 
 
 class TestCheckpointClasses:
-    # the tiny config's dataset has 4 classes
-    def setup_case(self, tmp_path, monkeypatch, classes):
+    # the tiny config's dataset has 4 classes of 3-channel slides
+    def setup_case(self, tmp_path, monkeypatch, classes, in_channels=3):
         cfg_path, cfg = tiny_config(tmp_path)
         main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
         ckpt = tmp_path / "w.ralw"
-        save_checkpoint(ckpt, Network(build_classifier(16, (2, 4, 2), classes=classes), seed=0))
+        save_checkpoint(ckpt, Network(build_classifier(16, (2, 4, 2), in_channels, classes),
+                                      seed=0))
 
         def no_forward(*args, **kwargs):
-            raise AssertionError("ran a checkpoint whose classes do not match")
+            raise AssertionError("ran a checkpoint whose classes or channels do not match")
 
         monkeypatch.setattr("ral.cli.evaluate_slides", no_forward)
         monkeypatch.setattr("ral.cli.predict_slide", no_forward)
@@ -750,6 +751,40 @@ class TestCheckpointClasses:
         assert (f"checkpoint {ckpt} outputs {classes} classes, but the dataset has 4"
                 in capsys.readouterr().err)
         assert not list((tmp_path / "pred").glob("classmap_*"))
+
+    def test_eval_rejects_other_channel_count(self, tmp_path, capsys, monkeypatch):
+        cfg_path, cfg, ckpt = self.setup_case(tmp_path, monkeypatch, 4, in_channels=1)
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 1
+        assert (f"ral: error: checkpoint {ckpt} takes 1-channel input, but the dataset's "
+                f"slides have 3 channels\n" in capsys.readouterr().err)
+        assert not (Path(cfg["output_dir"]) / "eval.json").exists()
+
+
+class TestCheckpointWindow:
+    # the grid window is the checkpoint's input size, whatever the config's tiling
+    @pytest.mark.parametrize("command", ["eval", "predict-slide"])
+    def test_window_32_checkpoint_under_window_16_tiling(self, tmp_path, command):
+        cfg_path, cfg = tiny_config(tmp_path)
+        assert cfg["tiling"] == {"window": 16, "stride": 16}
+        main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
+        cfg32_path = tmp_path / "cfg32.json"
+        cfg32_path.write_text(json.dumps({**cfg, "tiling": {"window": 32, "stride": 32}}))
+        ckpt = save_checkpoint(tmp_path / "w32.ralw",
+                               Network(build_classifier(32, (2, 4, 2)), seed=0))
+        image = next((Path(cfg["dataset_path"]) / "val").rglob("*.ppm"))
+        extra = ["--image", str(image)] if command == "predict-slide" else []
+        outs = [tmp_path / "out16", tmp_path / "out32"]
+        for path, out in zip((cfg_path, cfg32_path), outs):
+            assert main([command, "--config", str(path), "--checkpoint", str(ckpt),
+                         "--out", str(out), *extra]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == (["eval.json"] if command == "eval"
+                         else [f"classmap_{image.stem}.ppm"])
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        if command == "predict-slide":  # one 32-pixel cell per 32x32 slide
+            assert load_image(outs[0] / names[0]).shape == (32, 32, 3)
 
 
 class TestPredictSlideImage:

@@ -298,8 +298,8 @@ class TestFinetune:
 
 def per_tensor_epochs(net, ts, config, epochs):
     """The training loop as it was before the flat parameter vector: a
-    finiteness check and an Adam step per parameter tensor."""
-    adam = config.make_optimizer()
+    finiteness check, and one Adam per parameter tensor."""
+    adams = [config.make_optimizer() for _ in net.parameters()]
     rng = np.random.default_rng(config.seed)
     for _ in range(epochs):
         idx = ts.active_indices()
@@ -308,8 +308,9 @@ def per_tensor_epochs(net, ts, config, epochs):
             take = order[start:start + config.batch_size]
             loss, grads = net.loss_and_grads(ts.images[take], ts.label[take])
             assert np.isfinite(loss) and all(np.isfinite(g).all() for g in grads)
-            adam.step(net.parameters(), grads)
-    return adam
+            for adam, p, g in zip(adams, net.parameters(), grads):
+                adam.step(p, g)
+    return adams
 
 
 class TestFlatStep:
@@ -323,18 +324,19 @@ class TestFlatStep:
         assert steps >= 20
 
         ref = Network(spec, seed=1)
-        ref_adam = per_tensor_epochs(ref, ts, config, config.max_epochs)
+        ref_adams = per_tensor_epochs(ref, ts, config, config.max_epochs)
         net = Network(spec, seed=1)
         adam = config.make_optimizer()
         initial_train(net, ts, config, adam)
 
-        assert adam.t == ref_adam.t == steps
+        assert adam.t == steps
+        assert all(a.t == steps for a in ref_adams)
         for a, b in zip(net.parameters(), ref.parameters()):
             np.testing.assert_array_equal(a, b)
-        for flat, per_tensor in ((adam.m, ref_adam.m), (adam.v, ref_adam.v)):
-            assert len(flat) == 1
+        for flat, name in ((adam.m, "m"), (adam.v, "v")):
+            assert flat.shape == net.theta.shape
             np.testing.assert_array_equal(
-                flat[0], np.concatenate([s.reshape(-1) for s in per_tensor]))
+                flat, np.concatenate([getattr(a, name).reshape(-1) for a in ref_adams]))
         # the network moved, so the comparison compared something
         assert not np.array_equal(net.theta, Network(spec, seed=1).theta)
 
