@@ -12,6 +12,15 @@ variables. --seed and --out override the config's seed and output_dir.
 ``main`` loads the config and locks the output directory once, for the
 whole of every command. Commands never write into the dataset directory.
 
+The lock is an exclusive ``flock`` on ``<out>/.lock``, which names its
+holder's pid. The kernel drops it when the holder exits or is killed, so
+a run that died leaves no lock behind: the next run takes the file over
+and says so on stderr. A live holder's directory is refused before any
+data or checkpoint is read.
+
+``main`` builds its argument parser once per process (``build_parser`` is
+cached), so an in-process caller that runs many commands pays for it once.
+
 A command owns its whole process, so ``main`` also limits glibc's malloc
 to one arena: the helper thread of a two-lane read-only pass
 (``Network.predict_proba``) then reuses the main heap, where an arena of
@@ -24,6 +33,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
+import functools
 import json
 import os
 import sys
@@ -47,30 +58,48 @@ class OutputLocked(RuntimeError):
     """Another run holds the output directory's lock; the directory is its."""
 
 
+def _holder(fd):
+    """' (pid N)' for the pid that the lock file names, or ''."""
+    with contextlib.suppress(OSError, ValueError):
+        return f" (pid {int(os.pread(fd, 32, 0))})"
+    return ""
+
+
 @contextlib.contextmanager
 def output_lock(out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".lock"
+    while True:
+        fd = os.open(lock, os.O_CREAT | os.O_RDWR)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            holder = _holder(fd)
+            os.close(fd)
+            raise OutputLocked(f"output dir {out_dir} is locked by another run{holder}") from None
+        # a releasing run unlinks the file before it unlocks it: the lock
+        # counts only while the path still names the locked file
+        with contextlib.suppress(FileNotFoundError):
+            if os.path.samestat(os.fstat(fd), os.stat(lock)):
+                break
+        os.close(fd)
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        holder = ""
-        with contextlib.suppress(OSError, ValueError):
-            holder = f" (pid {int(lock.read_text())})"
-        raise OutputLocked(f"output dir {out_dir} is locked by another run{holder} "
-                           f"(remove {lock} if stale)") from None
-    os.write(fd, f"{os.getpid()}\n".encode())
-    os.close(fd)
-    try:
+        if os.fstat(fd).st_size:  # a clean release unlinks the file, so its holder died
+            print(f"ral: taking over {lock} from a run that ended without releasing it"
+                  f"{_holder(fd)}", file=sys.stderr)
+            os.ftruncate(fd, 0)
+        os.pwrite(fd, f"{os.getpid()}\n".encode(), 0)
         yield out_dir
     finally:
         lock.unlink(missing_ok=True)
+        os.close(fd)
 
 
 def _resolve(args):
     config = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
-    flags = {"seed": args.seed, "output_dir": args.out}
-    config = replace(config, **{k: v for k, v in flags.items() if v is not None})
+    flags = {k: v for k, v in (("seed", args.seed), ("output_dir", args.out)) if v is not None}
+    if flags:
+        config = replace(config, **flags)
     return config, Path(config.output_dir)
 
 
@@ -190,6 +219,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ral",

@@ -24,15 +24,19 @@ the whole process (``keep_freed_memory``), so the memory a training step
 or a read-only pass frees stays in the process for the next one, whoever
 calls the library: the CLI, a test or a notebook. It leaves the number of
 malloc arenas to the program; ``cli.main`` caps them for its commands.
+Importing it also sets numpy's OpenBLAS to one thread (``one_blas_thread``),
+so one seed gives the same bytes whatever the environment's thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -172,15 +176,17 @@ _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ral-predict")
 # mallopt parameters of glibc's malloc.h
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
 
+try:  # looked up once: every main() call sets a parameter
+    _MALLOPT = ctypes.CDLL(None).mallopt
+    _MALLOPT.argtypes = (ctypes.c_int, ctypes.c_int)
+except (OSError, AttributeError, TypeError):
+    _MALLOPT = None
+
 
 def mallopt(param, value):
     """Set one parameter of glibc's malloc; does nothing where libc has no mallopt."""
-    try:
-        fn = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    fn.argtypes = (ctypes.c_int, ctypes.c_int)
-    fn(param, value)
+    if _MALLOPT is not None:
+        _MALLOPT(param, value)
 
 
 def keep_freed_memory():
@@ -199,6 +205,39 @@ def keep_freed_memory():
 
 
 keep_freed_memory()
+
+
+def one_blas_thread():
+    """Run numpy's OpenBLAS on one thread, whatever OPENBLAS_NUM_THREADS says.
+
+    OpenBLAS splits a GEMM by its thread count, and the split rounds
+    differently: at two threads a desk run removes other records and writes
+    other bytes. The GEMMs here are small, and a second thread made the desk
+    preset no faster. The setter is found through ctypes, under the names
+    OpenBLAS builds export (``scipy_`` prefix, ``64_`` suffix), in the
+    OpenBLAS libraries that numpy ships or that the process has mapped.
+    Where there is none, as when numpy's BLAS is not OpenBLAS, this does
+    nothing.
+    """
+    numpy_dir = Path(np.__file__).parent
+    paths = {str(p) for d in (numpy_dir.parent / "numpy.libs", numpy_dir / ".dylibs")
+             for p in d.glob("*openblas*")}
+    with contextlib.suppress(OSError), open("/proc/self/maps") as maps:
+        paths |= {line.split(None, 5)[5].strip() for line in maps if "openblas" in line}
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in (f"{pre}openblas_set_num_threads{suf}"
+                     for pre in ("", "scipy_") for suf in ("", "64_")):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = (ctypes.c_int,), None
+                fn(1)
+
+
+one_blas_thread()
 
 
 def _cpus():

@@ -1,13 +1,20 @@
+import argparse
+import contextlib
 import dataclasses
+import fcntl
 import hashlib
 import json
 import os
 import re
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ral import cli
 from ral.cli import main, output_lock
 from ral.config import ExperimentConfig, NetworkSection
 from ral.experiment import run_experiment
@@ -35,6 +42,17 @@ def tiny_config(tmp_path, **ral_overrides):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return path, cfg
+
+
+@contextlib.contextmanager
+def held_lock(out, pid=4242):
+    """out/.lock as a live run holds it: flocked, and naming ``pid``."""
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / ".lock", "w") as f:
+        f.write(f"{pid}\n")
+        f.flush()
+        fcntl.flock(f, fcntl.LOCK_EX)
+        yield
 
 
 # report.json embeds this block: its key order, and lists for tuple fields
@@ -546,10 +564,8 @@ class TestLock:
     def test_locked_output_dir_fails_command(self, tmp_path, capsys):
         cfg_path, cfg = tiny_config(tmp_path)
         main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
-        out = Path(cfg["output_dir"])
-        out.mkdir(parents=True, exist_ok=True)
-        (out / ".lock").touch()
-        assert main(["ral", "--config", str(cfg_path)]) == 1
+        with held_lock(Path(cfg["output_dir"])):
+            assert main(["ral", "--config", str(cfg_path)]) == 1
         assert "locked" in capsys.readouterr().err
 
     def test_lock_holds_its_pid(self, tmp_path):
@@ -559,12 +575,74 @@ class TestLock:
     def test_stale_lock_names_its_holder(self, tmp_path, capsys):
         cfg_path, cfg = tiny_config(tmp_path)
         out = Path(cfg["output_dir"])
-        out.mkdir(parents=True)
-        (out / ".lock").write_text("4242\n")
-        assert main(["generate", "--config", str(cfg_path)]) == 1
+        with held_lock(out):
+            assert main(["generate", "--config", str(cfg_path)]) == 1
         assert "locked by another run (pid 4242)" in capsys.readouterr().err
         # the directory is the holder's: the failed run leaves nothing in it
         assert sorted(p.name for p in out.iterdir()) == [".lock"]
+
+    def test_lock_of_a_killed_run_is_taken_over(self, tmp_path, capsys):
+        cfg_path, cfg = tiny_config(tmp_path)
+        out = Path(cfg["output_dir"])
+        code = ("import sys, time\n"
+                "from pathlib import Path\n"
+                "from ral.cli import output_lock\n"
+                "with output_lock(Path(sys.argv[1])):\n"
+                "    print('held', flush=True)\n"
+                "    time.sleep(60)\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        child = subprocess.Popen([sys.executable, "-c", code, str(out)], text=True,
+                                 stdout=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+        try:
+            assert child.stdout.readline() == "held\n"
+            assert main(["generate", "--config", str(cfg_path)]) == 1  # alive: refused
+        finally:
+            child.send_signal(signal.SIGKILL)
+            child.wait()
+            child.stdout.close()
+        assert (out / ".lock").read_text() == f"{child.pid}\n"
+        assert main(["generate", "--config", str(cfg_path)]) == 0
+        err = capsys.readouterr().err
+        assert f"locked by another run (pid {child.pid})" in err
+        assert f"taking over {out / '.lock'}" in err and f"(pid {child.pid})" in err.split(
+            "taking over")[1]
+        assert not (out / ".lock").exists()  # released as usual
+
+    def test_lock_file_without_holder_is_taken_over(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".lock").write_text("4242\n")
+        with output_lock(out):
+            assert (out / ".lock").read_text() == f"{os.getpid()}\n"
+        assert capsys.readouterr().err == (
+            f"ral: taking over {out / '.lock'} from a run that ended without releasing it"
+            f" (pid 4242)\n")
+
+    def test_lock_unlinked_by_its_releaser_is_not_shared(self, tmp_path, monkeypatch):
+        # a run that opened .lock just before the holder unlinked it gets the
+        # flock of a file no path names; it must open the path afresh
+        out = tmp_path / "out"
+        out.mkdir()
+        lock = out / ".lock"
+        lock.write_text("4242\n")
+        stale = os.open(lock, os.O_RDWR)
+        lock.unlink()
+        opened = []
+        real_open = os.open
+
+        def open_stale_first(path, flags, *args):
+            if not opened:
+                opened.append(path)
+                return stale
+            return real_open(path, flags, *args)
+
+        monkeypatch.setattr(os, "open", open_stale_first)
+        with output_lock(out):
+            assert lock.read_text() == f"{os.getpid()}\n"
+            with pytest.raises(cli.OutputLocked):
+                with output_lock(out):
+                    pass
+        assert opened == [lock]
 
 
     @pytest.mark.parametrize("command", ["generate", "tile", "train", "ral", "eval",
@@ -579,14 +657,13 @@ class TestLock:
             monkeypatch.setattr(target, no_work)
         cfg_path, cfg = tiny_config(tmp_path)
         out = Path(cfg["output_dir"])
-        out.mkdir(parents=True)
-        (out / ".lock").write_text("4242\n")
         args = [command, "--config", str(cfg_path)]
         if command in ("eval", "predict-slide"):
             args += ["--checkpoint", str(tmp_path / "w.ralw")]
         if command == "predict-slide":
             args += ["--image", str(tmp_path / "slide.ppm")]
-        assert main(args) == 1
+        with held_lock(out):
+            assert main(args) == 1
         assert "locked by another run (pid 4242)" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == [".lock"]
 
@@ -597,11 +674,55 @@ class TestAllocator:
         calls = []
         monkeypatch.setattr("ral.cli.mallopt", lambda *args: calls.append(args))
         cfg_path, cfg = tiny_config(tmp_path)
-        out = Path(cfg["output_dir"])
-        out.mkdir(parents=True)
-        (out / ".lock").write_text("4242\n")
-        assert main(["generate", "--config", str(cfg_path)]) == 1
+        with held_lock(Path(cfg["output_dir"])):
+            assert main(["generate", "--config", str(cfg_path)]) == 1
         assert calls == [(network.M_ARENA_MAX, 1)]
+
+
+class TestSetUp:
+    """main's per-call set-up: one parser per process, no config copy unless a flag overrides."""
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_see_only_their_own_flags(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(args, config, out):
+            seen.append((args, config.seed, config.output_dir, out))
+            return 0
+
+        for name in ("generate", "eval"):
+            monkeypatch.setitem(cli.COMMANDS, name, record)
+        cfg_path, cfg = tiny_config(tmp_path)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["eval", "--config", str(cfg_path), "--seed", "3", "--out", str(a),
+                     "--checkpoint", "w.ralw"]) == 0
+        assert main(["generate", "--config", str(cfg_path), "--seed", "4",
+                     "--out", str(b)]) == 0
+        assert main(["generate", "--config", str(cfg_path)]) == 0
+        (args_a, *rest_a), (args_b, *rest_b), (args_c, *rest_c) = seen
+        assert rest_a == [3, str(a), a] and args_a.checkpoint == "w.ralw"
+        assert rest_b == [4, str(b), b] and not hasattr(args_b, "checkpoint")
+        out = Path(cfg["output_dir"])
+        assert rest_c == [cfg["seed"], cfg["output_dir"], out]
+        assert (args_c.seed, args_c.out) == (None, None)
+
+    def test_resolve_copies_the_config_only_to_override_it(self, monkeypatch):
+        loaded = ExperimentConfig(seed=1, output_dir="run")
+        monkeypatch.setattr(ExperimentConfig, "load", staticmethod(lambda path: loaded))
+
+        def resolve(seed=None, out=None):
+            return cli._resolve(argparse.Namespace(config="cfg.json", seed=seed, out=out))
+
+        assert resolve() == (loaded, Path("run"))
+        assert resolve()[0] is loaded
+        seeded, out = resolve(seed=5)
+        assert seeded is not loaded
+        assert (seeded.seed, seeded.output_dir, out) == (5, "run", Path("run"))
+        moved, out = resolve(out="elsewhere")
+        assert (moved.seed, moved.output_dir, out) == (1, "elsewhere", Path("elsewhere"))
+        assert (loaded.seed, loaded.output_dir) == (1, "run")
 
 
 def write_flat_dataset(root, slides_per_class, size=32):

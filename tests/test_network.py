@@ -499,6 +499,35 @@ def test_each_patch_matrix_dies_before_the_layer_below_runs_backward():
     assert all(not later for later in alive.values()), alive
 
 
+class TestBlasThreads:
+    def test_import_sets_openblas_to_one_thread(self):
+        # the child finds numpy's OpenBLAS on its own, reads its thread count
+        # under OPENBLAS_NUM_THREADS=2, then again once ral.nn is imported
+        code = ("import ctypes, pathlib, sys\n"
+                "import numpy as np\n"
+                "libs = sorted((pathlib.Path(np.__file__).parent.parent / 'numpy.libs')"
+                ".glob('*openblas*'))\n"
+                "names = [f'{p}openblas_get_num_threads{s}' for p in ('', 'scipy_')"
+                " for s in ('', '64_')]\n"
+                "get = next((getattr(lib, n) for lib in map(ctypes.CDLL, libs)"
+                " for n in names if hasattr(lib, n)), None)\n"
+                "if get is None:\n"
+                "    print('none none')\n"
+                "    sys.exit()\n"
+                "before = get()\n"
+                "import ral.nn\n"
+                "print(before, get())\n")
+        src = str(Path(network.__file__).resolve().parents[2])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2")
+        before, after = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                       capture_output=True, text=True).stdout.split()
+        if before == "none":
+            pytest.skip("numpy's OpenBLAS exports no openblas_get_num_threads")
+        if before == "1":
+            pytest.skip("OpenBLAS runs one thread here even when asked for two")
+        assert (before, after) == ("2", "1")
+
+
 class TestAllocator:
     """Importing ral.nn keeps freed memory in the process, for any caller."""
 
