@@ -212,8 +212,9 @@ def one_blas_thread():
 
     OpenBLAS splits a GEMM by its thread count, and the split rounds
     differently: at two threads a desk run removes other records and writes
-    other bytes. The GEMMs here are small, and a second thread made the desk
-    preset no faster. The setter is found through ctypes, under the names
+    other bytes. A second thread made the desk preset no faster, but a
+    32/64/32 plan ran about 15% faster at two: that is the price of pinned
+    bytes on wider plans. The setter is found through ctypes, under the names
     OpenBLAS builds export (``scipy_`` prefix, ``64_`` suffix), in the
     OpenBLAS libraries that numpy ships or that the process has mapped.
     Where there is none, as when numpy's BLAS is not OpenBLAS, this does
