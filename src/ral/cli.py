@@ -50,7 +50,7 @@ from .loop import initial_train
 from .nn import load_checkpoint, save_checkpoint
 from .nn.network import M_ARENA_MAX, mallopt
 from .patches import VARIANTS, build_manifest, build_training_set, manifest_to_dicts
-from .slices import evaluate_slides, predict_slide, render_class_map
+from .slices import SlideCells, evaluate_slides, predict_slide, render_class_map
 from .synth import generate, write_dataset
 
 
@@ -182,7 +182,7 @@ def cmd_eval(args, config, out):
     if train_slides[0].pixels.shape[2] != channels:  # every slide has the first one's count
         raise ValueError(f"checkpoint {args.checkpoint} takes {channels}-channel input, but "
                          f"the dataset's slides have {train_slides[0].pixels.shape[2]} channels")
-    summary = {split: evaluate_slides(net, slides, window, class_names)
+    summary = {split: evaluate_slides(net, SlideCells(slides, window), class_names)
                for split, slides in (("train", train_slides), ("val", val_slides))}
     (out / "eval.json").write_text(json.dumps(summary, indent=1) + "\n")
     for split, row in summary.items():
@@ -191,11 +191,14 @@ def cmd_eval(args, config, out):
 
 
 def cmd_predict_slide(args, config, out):
+    """Classify one slide and write its class map. Class names come from the
+    dataset's class directories, or are ``class0``, ``class1``, ... when
+    the config sets no dataset_path."""
     net = load_checkpoint(args.checkpoint)
-    if config.dataset_path and Path(config.dataset_path).is_dir():
-        class_names = class_names_of(config.dataset_path)
-    else:
+    if config.dataset_path is None:
         class_names = [f"class{i}" for i in range(net.spec.classes)]
+    else:
+        class_names = class_names_of(config.dataset_path)
     _require_classes(net, class_names, args.checkpoint)
     window, _, channels = net.spec.input
     slide = load_slide(args.image, class_names[0], channels,

@@ -67,17 +67,22 @@ def require_splits(train, val):
                              f"add slides so that each split gets at least one")
 
 
+def _root(root):
+    """``root`` as a Path; raises unless it is a directory."""
+    if not Path(root).is_dir():
+        raise ValueError(f"dataset path {root} is not a directory")
+    return Path(root)
+
+
 def class_names_of(root):
     """Class directory names without loading any pixel data."""
-    root = Path(root)
+    root = _root(root)
     return _class_dirs(root / "train" if (root / "train").is_dir() else root)
 
 
 def load_dataset(root, val_fraction=0.2, seed=0):
     """(train_slides, val_slides, class_names, oracle-or-None)."""
-    root = Path(root)
-    if not root.is_dir():
-        raise ValueError(f"dataset path {root} is not a directory")
+    root = _root(root)
     oracle = None
     oracle_path = root / "oracle.json"
     if oracle_path.exists():

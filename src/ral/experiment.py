@@ -45,15 +45,16 @@ def make_evaluator(config, class_names, train_slides, val_slides):
     Every number comes from one non-overlapping grid pass per slide: the
     validation patch accuracy is the macro accuracy of the validation
     cells, and the slice accuracies are the macro accuracies of the votes.
-    A slide that the window does not divide fails here, before training.
+    Each split is cut into its ``SlideCells`` once, here, and scored from
+    them every round; a slide that the window does not divide fails here,
+    before training.
     """
-    window = config.tiling.window
-    for slides in (train_slides, val_slides):
-        SlideCells(slides, window)
+    train_cells, val_cells = (SlideCells(slides, config.tiling.window)
+                              for slides in (train_slides, val_slides))
 
     def evaluator(net):
-        train = evaluate_slides(net, train_slides, window, class_names)
-        val = evaluate_slides(net, val_slides, window, class_names)
+        train = evaluate_slides(net, train_cells, class_names)
+        val = evaluate_slides(net, val_cells, class_names)
         return {"val_patch_acc": val["patch_acc"],
                 "train_slice_acc": train["slice_acc"],
                 "val_slice_acc": val["slice_acc"]}

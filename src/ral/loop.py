@@ -55,9 +55,6 @@ class RalConfig:
         if not self.learning_rate >= 0.0:
             raise ValueError(f"learning_rate must be non-negative, got {self.learning_rate}")
 
-    def make_optimizer(self):
-        return Adam(self.learning_rate)
-
 
 @dataclass
 class EpochStats:
@@ -136,7 +133,7 @@ def initial_train(net, ts: TrainingSet, config: RalConfig, adam=None, rng=None):
     or the epoch cap, whichever comes first."""
     if ts.n_active == 0:
         raise ValueError("cannot train on an empty training set")
-    adam = adam if adam is not None else config.make_optimizer()
+    adam = adam if adam is not None else Adam(config.learning_rate)
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     return _train_epochs(net, ts, config, adam, rng,
                          config.max_epochs, config.target_train_accuracy)
@@ -209,7 +206,7 @@ def run_ral(net, ts: TrainingSet, config: RalConfig, evaluator=None):
     stay None. Returns a RalResult with K+1 reports (row 0 is the unpruned
     baseline), the removal audit trail, and the epochs actually spent.
     """
-    adam = config.make_optimizer()
+    adam = Adam(config.learning_rate)
     rng = np.random.default_rng(config.seed)
 
     def measure(report):

@@ -10,7 +10,9 @@ index, so the vote is fully deterministic.
 Cells are read straight out of each slide's pixels by ``SlideCells``, on
 ``patches.cell_grid``, the cut the training set is built by, and one
 ``predict_proba`` pass scores them, for one slide or for every slide of an
-evaluation split, in ``PREDICT_CHUNK`` chunks.
+evaluation split, in ``PREDICT_CHUNK`` chunks. A ``SlideCells`` is the one
+owner of an evaluation split: it is cut and checked once, and
+``predict_slides`` and ``evaluate_slides`` score it as often as asked.
 """
 
 from __future__ import annotations
@@ -84,11 +86,12 @@ def majority_vote(patch_labels, grid_probs):
 class SlideCells:
     """Indexable view of the grid cells of one or more slides.
 
-    Cell i is the i-th cell, row-major, of the slides in order.
+    Cell i is the i-th cell, row-major, of ``slides`` in order.
     ``cells[rows]`` gathers cells ``rows`` into an (n, window, window, C)
     float32 array, so a pass over many slides copies one chunk of cells at
-    a time, never the whole set. Slide dimensions must be divisible by the
-    window.
+    a time, never the whole set. Building one checks the two rules of the
+    grid: there is at least one slide, and the window divides each slide's
+    dimensions.
 
     Each run of consecutive cells along one grid row is copied straight
     into the result by one slice assignment, so a gather holds no second
@@ -97,6 +100,9 @@ class SlideCells:
     """
 
     def __init__(self, slides, window):
+        if not slides:
+            raise ValueError("need at least one slide to predict, got an empty split")
+        self.slides = slides
         self.grids = []  # per slide: its cell_grid at stride = window
         for slide in slides:
             if slide.height % window or slide.width % window:
@@ -132,15 +138,11 @@ def _prediction(slide_id, grid):
                            tie_broken)
 
 
-def predict_slides(net, slides, window):
-    """Grid up each slide without overlap, score all cells in one pass, vote
-    per slide. Slide dimensions must be divisible by the window."""
-    if not slides:
-        raise ValueError("need at least one slide to predict, got an empty split")
-    cells = SlideCells(slides, window)
+def predict_slides(net, cells: SlideCells):
+    """Score every cell of ``cells`` in one pass, vote per slide."""
     probs = net.predict_proba(cells)
     return [_prediction(s.slide_id, probs[a:b].reshape(g.shape[0], g.shape[1], -1))
-            for s, g, a, b in zip(slides, cells.grids, cells.starts, cells.starts[1:])]
+            for s, g, a, b in zip(cells.slides, cells.grids, cells.starts, cells.starts[1:])]
 
 
 def predict_slide(net, slide: SlideImage, window):
@@ -148,10 +150,10 @@ def predict_slide(net, slide: SlideImage, window):
 
     Slide dimensions must be divisible by the window.
     """
-    return predict_slides(net, [slide], window)[0]
+    return predict_slides(net, SlideCells([slide], window))[0]
 
 
-def render_class_map(prediction: SlidePrediction, class_names, cell_size=32):
+def render_class_map(prediction: SlidePrediction, class_names, cell_size):
     """One colored block per grid cell, as an 8-bit RGB image: a uint8
     (rows * cell_size, cols * cell_size, 3) array.
 
@@ -165,17 +167,17 @@ def render_class_map(prediction: SlidePrediction, class_names, cell_size=32):
     return cells.repeat(cell_size, axis=1).repeat(cell_size, axis=0)
 
 
-def evaluate_slides(net, slides, window, class_names):
-    """Patch and slide accuracy of labeled slides, from one grid pass over
-    all their cells.
+def evaluate_slides(net, cells: SlideCells, class_names):
+    """Patch and slide accuracy of the labeled slides of ``cells``, from one
+    grid pass over all their cells.
 
     Patch accuracy is the macro accuracy of every grid cell's label against
     its slide's label. Returns {"patch_acc", "slice_acc" (macro),
     "slice_acc_plain"}, all in %.
     """
     n = len(class_names)
-    preds = predict_slides(net, slides, window)
-    truth = [class_names.index(s.class_label) for s in slides]
+    preds = predict_slides(net, cells)
+    truth = [class_names.index(s.class_label) for s in cells.slides]
     voted = [p.voted_label for p in preds]
     cell_truth = np.repeat(truth, [p.patch_labels.size for p in preds])
     cell_pred = np.concatenate([p.patch_labels.ravel() for p in preds])

@@ -14,14 +14,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ral import cli
+from ral import cli, experiment
 from ral.cli import main, output_lock
 from ral.config import ExperimentConfig, NetworkSection
+from ral.dataset import load_dataset
 from ral.experiment import run_experiment
 from ral.imageio import load_image, save_image, save_ralt
 from ral.loop import RalConfig
-from ral.nn import Network, build_classifier, network, save_checkpoint
+from ral.nn import Adam, Network, build_classifier, network, save_checkpoint
 from ral.patches import TilingSpec
+from ral.slices import SlideCells
 from ral.synth import MislabelOracle, SynthSpec
 
 
@@ -195,7 +197,7 @@ class TestConfig:
     def test_optimizer_bounds_included(self):
         # a zero learning rate freezes training, and tests rely on it; the
         # other constants are Adam's published ones
-        adam = RalConfig(learning_rate=0.0).make_optimizer()
+        adam = Adam(RalConfig(learning_rate=0.0).learning_rate)
         assert (adam.lr, adam.beta1, adam.beta2, adam.epsilon) == (0.0, 0.9, 0.999, 1e-8)
 
     def test_default_config_block_is_pinned(self):
@@ -250,6 +252,7 @@ class TestConfig:
          "channel widths must be positive integers, got channel_plan [0, 16, 8]"),
         ("network", {"channel_plan": [8.5, 16, 8]}, "network config key 'channel_plan' must be "
                                                     "a list of integers, got [8.5, 16, 8]"),
+        ("network", {"channel_plan": [8, 16]}, "channel_plan must have three block widths"),
         ("tiling", {"window": 16.0, "stride": 16.0},
          "tiling config key 'window' must be an integer, got 16.0"),
         ("tiling", {"stride": 8.0}, "tiling config key 'stride' must be an integer, got 8.0"),
@@ -286,8 +289,9 @@ class TestConfig:
         ("synthetic", {"slide_size": [64]},
          "generator slide_size must be two positive integers, got [64]"),
     ], ids=["rho", "window", "one-class", "no-slides", "float-slides", "sigma", "empty-size",
-            "val-1", "val-negative", "zero-width", "float-width", "float-tiling-window",
-            "float-tiling-stride", "zero-tiling-stride", "float-batch", "zero-batch",
+            "val-1", "val-negative", "zero-width", "float-width", "two-widths",
+            "float-tiling-window", "float-tiling-stride", "zero-tiling-stride", "float-batch",
+            "zero-batch",
             "float-iterations", "negative-epochs", "float-finetune-epochs",
             "float-group-threshold", "group-threshold-9", "string-batch-size",
             "bool-learning-rate", "bool-sigma", "string-rho", "string-target-accuracy",
@@ -466,6 +470,25 @@ class TestCommands:
         assert set(rec) == {"patch_id", "slide_id", "grid_xy", "variant",
                             "group_id", "label", "active"}
         assert all(r["active"] for r in manifest)
+
+    def test_train_writes_a_checkpoint_and_its_log(self, tmp_path, capsys):
+        cfg_path, cfg = tiny_config(tmp_path)
+        main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
+        runs = []
+        for name in ("train1", "train2"):
+            out = tmp_path / name
+            assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+            assert sorted(p.name for p in out.iterdir()) == [
+                "checkpoint.json", "checkpoint.ralw", "train_log.json"]
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        # target_train_accuracy 1.01 never stops early: one row per epoch
+        log = json.loads(runs[0]["train_log.json"])
+        assert [row["epoch"] for row in log] == list(range(cfg["ral"]["max_epochs"]))
+        assert all(set(row) == {"epoch", "loss", "accuracy"} for row in log)
+        assert runs[0] == runs[1]
+        # 16 train slides x 4 cells x 8 variants
+        assert (f"trained 2 epochs on {16 * 4 * 8} records (final loss {log[-1]['loss']:.4f}"
+                in capsys.readouterr().out)
 
     def test_csv_rows_reconcile_with_report(self, tmp_path):
         cfg_path, cfg = tiny_config(tmp_path, iterations=2)
@@ -815,6 +838,33 @@ class TestSlideLayout:
             r"zz\.pgm: slide has 1 channels, but the dataset's first slide has 3$")
 
 
+class TestDatasetLayout:
+    @pytest.mark.parametrize("layout, message", [
+        ("no-class-dirs", "{root}: no class directories found"),
+        ("class-without-slides", "{root}/Zeta: no slide images found"),
+        ("train-without-val", "{root}: found only one of train/ and val/"),
+        ("other-val-classes", "{root}: train and val class directories differ"),
+        ("one-slide-per-class", "class Benign: validation fraction leaves no training slides"),
+    ])
+    def test_load_dataset_rejects(self, tmp_path, layout, message):
+        root = tmp_path / "data"
+        root.mkdir()
+        if layout == "class-without-slides":  # sorts last; a file of another suffix is no slide
+            write_flat_dataset(root, 3)
+            (root / "Zeta").mkdir()
+            (root / "Zeta" / "notes.txt").write_text("")
+        elif layout == "train-without-val":
+            write_flat_dataset(root / "train", 3)
+        elif layout == "other-val-classes":
+            write_flat_dataset(root / "train", 3)
+            write_flat_dataset(root / "val", 1)
+            (root / "val" / "Normal").rename(root / "val" / "Other")
+        elif layout == "one-slide-per-class":  # round(0.6 * 1) = 1 of 1 slides goes to val
+            write_flat_dataset(root, 1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(root=root))}$"):
+            load_dataset(root, val_fraction=0.6, seed=0)
+
+
 class TestWindow:
     def test_undivided_slides_fail_before_training(self, tmp_path, capsys, monkeypatch):
         cfg_path, cfg = tiny_config(tmp_path)
@@ -916,6 +966,7 @@ class TestPredictSlideImage:
     ], ids=["rank-2-ralt", "one-channel-pgm"])
     def test_image_fails_naming_the_file(self, tmp_path, capsys, name, shape, message):
         cfg_path, cfg = tiny_config(tmp_path)
+        cfg_path.write_text(json.dumps({**cfg, "dataset_path": None}))
         ckpt = tmp_path / "w.ralw"
         save_checkpoint(ckpt, Network(build_classifier(16, (2, 4, 2)), seed=0))
         image = tmp_path / name
@@ -926,6 +977,84 @@ class TestPredictSlideImage:
         err = capsys.readouterr().err
         assert f"ral: error: {image}: {message.format(ckpt)}\n" in err
         assert [p.name for p in out.iterdir()] == ["error.log"]
+
+
+class TestPredictSlideClassNames:
+    def run(self, tmp_path, dataset_path, out):
+        cfg_path, cfg = tiny_config(tmp_path)
+        cfg_path.write_text(json.dumps({**cfg, "dataset_path": dataset_path}))
+        ckpt = save_checkpoint(tmp_path / "w.ralw",
+                               Network(build_classifier(16, (2, 4, 2)), seed=0))
+        image = tmp_path / "slide.ppm"
+        save_image(image, np.random.default_rng(0).random((32, 32, 3), dtype=np.float32))
+        return main(["predict-slide", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--image", str(image), "--out", str(out)])
+
+    def test_no_dataset_path_gives_generic_names(self, tmp_path, capsys):
+        assert self.run(tmp_path, None, tmp_path / "pred") == 0
+        assert re.match(r"slide: class\d \(votes (class\d:\d(, )?)+\) -> ",
+                        capsys.readouterr().out)
+        assert [p.name for p in (tmp_path / "pred").iterdir()] == ["classmap_slide.ppm"]
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_dataset_path_that_is_no_directory_fails(self, tmp_path, capsys, kind):
+        path = tmp_path / "dta"
+        if kind == "file":
+            path.write_text("")
+        out = tmp_path / "pred"
+        assert self.run(tmp_path, str(path), out) == 1
+        # load_dataset's message, as ral eval prints it
+        message = f"dataset path {path} is not a directory"
+        assert f"ral: error: {message}\n" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["error.log"]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_dataset(path)
+
+
+class TestEvaluationCells:
+    """Each evaluation split is cut into its SlideCells once per run, and
+    every round scores the cells cut before training."""
+
+    def spy(self, monkeypatch, module):
+        """Every SlideCells built, and every one that ``module``'s
+        evaluate_slides scores, in order."""
+        built, scored = [], []
+        init, evaluate = SlideCells.__init__, module.evaluate_slides
+
+        def spying_init(cells, *args):
+            built.append(cells)
+            init(cells, *args)
+
+        def spying_evaluate(net, cells, class_names):
+            scored.append(cells)
+            return evaluate(net, cells, class_names)
+
+        monkeypatch.setattr(SlideCells, "__init__", spying_init)
+        monkeypatch.setattr(module, "evaluate_slides", spying_evaluate)
+        return built, scored
+
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_ral_cuts_each_split_once(self, tmp_path, monkeypatch, iterations):
+        cfg_path, cfg = tiny_config(tmp_path, tau=0.24, iterations=iterations)
+        main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
+        built, scored = self.spy(monkeypatch, experiment)
+        assert main(["ral", "--config", str(cfg_path)]) == 0
+        report = json.loads((Path(cfg["output_dir"]) / "report.json").read_text())
+        assert len(report["iterations"]) == iterations + 1
+        # train and val, each built once and scored in every round: none discarded
+        assert [len(c.slides) for c in built] == [16, 4]
+        assert len(scored) == 2 * len(report["iterations"])
+        assert all(c is b for c, b in zip(scored, built * len(report["iterations"])))
+
+    def test_eval_cuts_each_split_once(self, tmp_path, monkeypatch):
+        cfg_path, cfg = tiny_config(tmp_path)
+        main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
+        ckpt = save_checkpoint(tmp_path / "w.ralw",
+                               Network(build_classifier(16, (2, 4, 2)), seed=0))
+        built, scored = self.spy(monkeypatch, cli)
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 0
+        assert [len(c.slides) for c in built] == [16, 4]
+        assert len(scored) == 2 and all(c is b for c, b in zip(scored, built))
 
 
 class TestMalformedCheckpointSpec:

@@ -275,6 +275,10 @@ class TestDense:
         dy = rng.random((2, 5), dtype=np.float32)
         dx, _ = d.backward(dy, cache)
         np.testing.assert_allclose(nhwc(dx), (dy @ d.w.T).reshape(x.shape), atol=1e-6)
+        # a spatial input of another size flattens to a count the weights do not take
+        with pytest.raises(ValueError, match=r"^dense input shape \(3, 2, 2, 1\) flattens to "
+                                             r"6 features, weights expect 12$"):
+            d.forward(cm(x[:, :, :1]))
 
 
 def layer_cases():

@@ -8,7 +8,7 @@ from ral.loop import (IterationReport, RalConfig, finetune, initial_train,
                       score_training_set)
 from ral.experiment import write_audit
 from ral.metrics import macro_accuracy
-from ral.nn import LayerSpec, Network, NetworkSpec, build_classifier
+from ral.nn import Adam, LayerSpec, Network, NetworkSpec, build_classifier
 from ral.patches import SlideImage, TilingSpec, build_training_set
 
 
@@ -241,7 +241,7 @@ class TestPruneByGroup:
 @pytest.mark.parametrize("train, message", [
     (lambda net, ts, config: initial_train(net, ts, config),
      "cannot train on an empty training set"),
-    (lambda net, ts, config: finetune(net, ts, config, config.make_optimizer()),
+    (lambda net, ts, config: finetune(net, ts, config, Adam(config.learning_rate)),
      "cannot finetune on an empty training set")], ids=["initial_train", "finetune"])
 def test_empty_active_set_rejected_before_any_step(monkeypatch, train, message):
     ts = toy_set()
@@ -261,7 +261,7 @@ class TestFinetune:
         net = dense_net(seed=4)
         config = RalConfig(finetune_epochs=0)
         before = [p.copy() for p in net.parameters()]
-        log = finetune(net, ts, config, config.make_optimizer())
+        log = finetune(net, ts, config, Adam(config.learning_rate))
         assert log == []
         for a, b in zip(net.parameters(), before):
             np.testing.assert_array_equal(a, b)
@@ -271,7 +271,7 @@ class TestFinetune:
         net = dense_net(seed=4)
         config = RalConfig(finetune_epochs=2, learning_rate=0.0)
         before = [p.copy() for p in net.parameters()]
-        finetune(net, ts, config, config.make_optimizer())
+        finetune(net, ts, config, Adam(config.learning_rate))
         for a, b in zip(net.parameters(), before):
             np.testing.assert_array_equal(a, b)
 
@@ -282,7 +282,7 @@ class TestFinetune:
         before = [p.copy() for p in net.parameters()]
         config = RalConfig(finetune_epochs=2, learning_rate=0.01, batch_size=4)
         with pytest.raises(FloatingPointError, match="at epoch 3, batch 0"):
-            finetune(net, ts, config, config.make_optimizer(), epoch_offset=3)
+            finetune(net, ts, config, Adam(config.learning_rate), epoch_offset=3)
         # the optimizer never saw the bad gradients
         for a, b in zip(net.parameters(), before):
             np.testing.assert_array_equal(a, b)
@@ -291,7 +291,7 @@ class TestFinetune:
         ts = toy_set()
         net = dense_net(seed=4)
         config = RalConfig(finetune_epochs=3, learning_rate=0.01, batch_size=4)
-        log = finetune(net, ts, config, config.make_optimizer())
+        log = finetune(net, ts, config, Adam(config.learning_rate))
         assert len(log) == 3
         assert all(np.isfinite(s.loss) for s in log)
 
@@ -299,7 +299,7 @@ class TestFinetune:
 def per_tensor_epochs(net, ts, config, epochs):
     """The training loop as it was before the flat parameter vector: a
     finiteness check, and one Adam per parameter tensor."""
-    adams = [config.make_optimizer() for _ in net.parameters()]
+    adams = [Adam(config.learning_rate) for _ in net.parameters()]
     rng = np.random.default_rng(config.seed)
     for _ in range(epochs):
         idx = ts.active_indices()
@@ -326,7 +326,7 @@ class TestFlatStep:
         ref = Network(spec, seed=1)
         ref_adams = per_tensor_epochs(ref, ts, config, config.max_epochs)
         net = Network(spec, seed=1)
-        adam = config.make_optimizer()
+        adam = Adam(config.learning_rate)
         initial_train(net, ts, config, adam)
 
         assert adam.t == steps
@@ -358,7 +358,7 @@ class TestFlatStep:
         layer.backward = nan_on_third_call
         config = RalConfig(finetune_epochs=2, learning_rate=0.01, batch_size=4)
         with pytest.raises(FloatingPointError, match="at epoch 5, batch 2"):
-            finetune(net, ts, config, config.make_optimizer(), epoch_offset=5)
+            finetune(net, ts, config, Adam(config.learning_rate), epoch_offset=5)
         np.testing.assert_array_equal(net.theta, seen[0])
         assert np.isfinite(net.theta).all()
 
@@ -388,7 +388,7 @@ class TestRunRal:
         # manual replay: initial fit then K bare finetunes on the same rng stream
         ts2 = toy_set()
         net2 = dense_net(seed=8)
-        adam = config.make_optimizer()
+        adam = Adam(config.learning_rate)
         rng = np.random.default_rng(config.seed)
         initial_train(net2, ts2, config, adam, rng)
         score_training_set(net2, ts2)

@@ -321,9 +321,16 @@ def test_bytes_after_the_last_record_rejected(tmp_path):
             load_checkpoint(path)
 
 
+# the cause each edit must name, where the edit leaves a well-formed spec
+SHAPE_RULES = {
+    "head-not-per-class": "final layer must be dense with one unit per class",
+    "conv-after-avgpool": "layer 14 (conv): conv needs a spatial input, got shape (2,)",
+}
+
+
 @pytest.mark.parametrize("edit", ["no-layers", "unknown-layer-key", "list", "no-layer",
                                   "unknown-kind", "text-width", "float-input",
-                                  "float-classes"])
+                                  "float-classes", *SHAPE_RULES])
 def test_malformed_spec_fails_naming_its_file(tmp_path, edit):
     path = save_checkpoint(tmp_path / "model.ralw",
                            Network(build_classifier(8, (2, 4, 2)), seed=15))
@@ -343,12 +350,17 @@ def test_malformed_spec_fails_naming_its_file(tmp_path, edit):
         spec["input"][0] = 8.0
     elif edit == "float-classes":
         spec["classes"] = 4.0
+    elif edit == "head-not-per-class":
+        spec["classes"] = 3
+    elif edit == "conv-after-avgpool":
+        spec["layers"].insert(-1, dict(spec["layers"][0]))
     else:
         spec["layers"][0]["channels"] = "2"
     spec_path.write_text(json.dumps(spec))
     with pytest.raises(ValueError, match=f"^{re.escape(str(spec_path))}: malformed network "
-                                         f"spec \\("):
+                                         f"spec \\(") as err:
         load_checkpoint(path)
+    assert SHAPE_RULES.get(edit, "") in str(err.value)
 
 
 class Gathers:

@@ -54,8 +54,7 @@ class TestPredictSlide:
         with pytest.raises(ValueError, match="not divisible"):
             predict_slide(net, make_slide("s", 20, 16), window=8)
         with pytest.raises(ValueError, match="not divisible"):
-            evaluate_slides(net, [make_slide("a", 16, 16), make_slide("b", 16, 20)], 8,
-                            CLASSES)
+            SlideCells([make_slide("a", 16, 16), make_slide("b", 16, 20)], 8)
 
 
 def mixed_split(n=24):
@@ -69,7 +68,7 @@ class TestEvaluateSlides:
         net = Network(build_classifier(8, (2, 4, 2)), seed=5)
         slides = mixed_split()
         assert sum(s.height * s.width for s in slides) // 64 > 2 * PREDICT_CHUNK
-        batched = predict_slides(net, slides, 8)
+        batched = predict_slides(net, SlideCells(slides, 8))
         assert [p.slide_id for p in batched] == [s.slide_id for s in slides]
         for got, slide in zip(batched, slides):
             alone = predict_slide(net, slide, 8)
@@ -83,7 +82,7 @@ class TestEvaluateSlides:
         crops = [s.pixels[y:y + 8, x:x + 8] for s in slides
                  for y in range(0, s.height, 8) for x in range(0, s.width, 8)]
         cells = SlideCells(slides, 8)
-        assert len(cells) == len(crops)
+        assert cells.slides is slides and len(cells) == len(crops)
         rng = np.random.default_rng(9)
         for rows in (np.arange(len(crops)), np.arange(5, 77), rng.permutation(len(crops)),
                      rng.integers(len(crops), size=40), np.array([3, 3, 4, 2]),
@@ -98,16 +97,18 @@ class TestEvaluateSlides:
             def predict_proba(self, batch, rows=None):
                 raise AssertionError("forward pass on an empty split")
 
-        with pytest.raises(ValueError, match="at least one slide"):
-            evaluate_slides(NoForward(), [], 8, CLASSES)
-        with pytest.raises(ValueError, match="at least one slide"):
-            predict_slides(NoForward(), [], 8)
+        # building the cells of an empty split fails, so no pass can start
+        message = "^need at least one slide to predict, got an empty split$"
+        with pytest.raises(ValueError, match=message):
+            evaluate_slides(NoForward(), SlideCells([], 8), CLASSES)
+        with pytest.raises(ValueError, match=message):
+            predict_slides(NoForward(), SlideCells([], 8))
 
     def test_matches_per_cell_tally(self):
         net = small_net(seed=4)
         slides = [make_slide(f"s{i}", 16, 24, seed=10 + i, label=CLASSES[i % 4])
                   for i in range(6)]
-        got = evaluate_slides(net, slides, 8, CLASSES)
+        got = evaluate_slides(net, SlideCells(slides, 8), CLASSES)
         # oracle: score every cell alone, then tally cells and votes by hand
         cell_true, cell_pred, slide_true, slide_pred = [], [], [], []
         for s in slides:
@@ -127,7 +128,7 @@ class TestEvaluateSlides:
         for p in net.parameters():
             p[:] = 0
         slides = [make_slide(f"s{i}", 8, 16, seed=i, label=c) for i, c in enumerate(CLASSES)]
-        got = evaluate_slides(net, slides, 8, CLASSES)
+        got = evaluate_slides(net, SlideCells(slides, 8), CLASSES)
         # every cell and vote says class 0, right for one class in four
         assert got == {"patch_acc": 25.0, "slice_acc": 25.0, "slice_acc_plain": 25.0}
 
@@ -275,8 +276,8 @@ class TestSliceAccuracy:
                   for i, t in enumerate(truth)]
         preds = [SlidePrediction(s.slide_id, np.zeros((1, 1, 4)), np.zeros((1, 1), dtype=int),
                                  int(v), {}, False) for s, v in zip(slides, voted)]
-        monkeypatch.setattr("ral.slices.predict_slides", lambda net, s, window: preds)
-        row = evaluate_slides(None, slides, 1, CLASSES)
+        monkeypatch.setattr("ral.slices.predict_slides", lambda net, cells: preds)
+        row = evaluate_slides(None, SlideCells(slides, 1), CLASSES)
         return row["slice_acc"], row["slice_acc_plain"]
 
     def test_all_correct(self, monkeypatch):
