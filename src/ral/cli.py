@@ -43,13 +43,14 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .config import ExperimentConfig
-from .dataset import class_names_of, load_slide, require_splits
+from .dataset import class_names_of, load_slide
 from .experiment import build_network_for, run_experiment
 from .imageio import save_image
 from .loop import initial_train
 from .nn import load_checkpoint, save_checkpoint
 from .nn.network import M_ARENA_MAX, mallopt
-from .patches import VARIANTS, build_manifest, build_training_set, manifest_to_dicts
+from .patches import (VARIANTS, build_manifest, build_training_set, manifest_to_dicts,
+                      require_splits)
 from .slices import SlideCells, evaluate_slides, predict_slide, render_class_map
 from .synth import generate, write_dataset
 
@@ -192,8 +193,8 @@ def cmd_eval(args, config, out):
 
 def cmd_predict_slide(args, config, out):
     """Classify one slide and write its class map. Class names come from the
-    dataset's class directories, or are ``class0``, ``class1``, ... when
-    the config sets no dataset_path."""
+    dataset's class directories, under the layout check of ``load_dataset``,
+    or are ``class0``, ``class1``, ... when the config sets no dataset_path."""
     net = load_checkpoint(args.checkpoint)
     if config.dataset_path is None:
         class_names = [f"class{i}" for i in range(net.spec.classes)]

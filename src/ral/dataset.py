@@ -5,6 +5,10 @@ Two layouts are accepted:
     root/<class>/<slide>.{ppm,pgm,ralt}            (flat; split at load time)
     root/{train,val}/<class>/<slide>.{...}         (pre-split)
 
+``_layout`` tells them apart from directory names alone, for
+``load_dataset`` and ``class_names_of`` alike: a pre-split dataset has
+both train/ and val/, with the same class directories in each.
+
 Every slide of a dataset, in both splits, is HxWxC with one C: the first
 slide's (``load_slide``, which reads ``ral predict-slide``'s image too).
 An ``oracle.json`` at the root, when present, carries mislabel ground
@@ -44,45 +48,48 @@ def load_slide(path, class_label, channels=None, source="the dataset's first sli
     return SlideImage(path.stem, class_label, pixels)
 
 
-def _load_class_dirs(root, channels=None):
+def _layout(root):
+    """(split directories, class names) of dataset directory ``root``, read
+    from directory names alone: (root/train, root/val) when it is pre-split,
+    else (root,). Raises unless ``root`` is a directory that holds both or
+    neither of train/ and val/, and both splits have the same class
+    directories."""
+    root = Path(root)
+    if not root.is_dir():
+        raise ValueError(f"dataset path {root} is not a directory")
+    has_train, has_val = (root / "train").is_dir(), (root / "val").is_dir()
+    if has_train != has_val:
+        raise ValueError(f"{root}: found only one of train/ and val/")
+    splits = (root / "train", root / "val") if has_train else (root,)
+    names = [_class_dirs(d) for d in splits]
+    if names[0] != names[-1]:
+        raise ValueError(f"{root}: train and val class directories differ")
+    return splits, names[0]
+
+
+def _load_split(base, class_names, channels=None):
     slides = []
-    class_names = _class_dirs(root)
     for cname in class_names:
-        files = sorted(p for p in (root / cname).iterdir()
+        files = sorted(p for p in (base / cname).iterdir()
                        if p.suffix in IMAGE_SUFFIXES)
         if not files:
-            raise ValueError(f"{root / cname}: no slide images found")
+            raise ValueError(f"{base / cname}: no slide images found")
         for f in files:
             slides.append(load_slide(f, cname, channels))
             channels = slides[-1].pixels.shape[2]
-    return slides, class_names
-
-
-def require_splits(train, val):
-    """Raise unless both splits hold a slide; run before any training, so
-    that a split rounded down to nothing fails before the work, not after."""
-    for name, split in (("training", train), ("validation", val)):
-        if not split:
-            raise ValueError(f"the {name} split is empty: raise val_fraction or "
-                             f"add slides so that each split gets at least one")
-
-
-def _root(root):
-    """``root`` as a Path; raises unless it is a directory."""
-    if not Path(root).is_dir():
-        raise ValueError(f"dataset path {root} is not a directory")
-    return Path(root)
+    return slides
 
 
 def class_names_of(root):
     """Class directory names without loading any pixel data."""
-    root = _root(root)
-    return _class_dirs(root / "train" if (root / "train").is_dir() else root)
+    return _layout(root)[1]
 
 
 def load_dataset(root, val_fraction=0.2, seed=0):
-    """(train_slides, val_slides, class_names, oracle-or-None)."""
-    root = _root(root)
+    """(train_slides, val_slides, class_names, oracle-or-None). The layout
+    is checked before ``oracle.json`` is read or any slide decoded."""
+    splits, class_names = _layout(root)
+    root = Path(root)
     oracle = None
     oracle_path = root / "oracle.json"
     if oracle_path.exists():
@@ -92,15 +99,9 @@ def load_dataset(root, val_fraction=0.2, seed=0):
             if not isinstance(meta, dict) or not {"window", "stride"} <= meta.keys():
                 raise ValueError(f"{root / 'generator.json'}: no window and stride of the regions")
             oracle.grid = (meta["window"], meta["stride"])
-    has_train, has_val = (root / "train").is_dir(), (root / "val").is_dir()
-    if has_train != has_val:
-        raise ValueError(f"{root}: found only one of train/ and val/")
-    if has_train:
-        train, train_names = _load_class_dirs(root / "train")
-        val, val_names = _load_class_dirs(root / "val", train[0].pixels.shape[2])
-        if train_names != val_names:
-            raise ValueError(f"{root}: train and val class directories differ")
-        return train, val, train_names, oracle
-    slides, class_names = _load_class_dirs(root)
-    train, val = split_slides(slides, val_fraction, seed)
+    train = _load_split(splits[0], class_names)
+    if len(splits) == 1:
+        train, val = split_slides(train, val_fraction, seed)
+    else:
+        val = _load_split(splits[1], class_names, train[0].pixels.shape[2])
     return train, val, class_names, oracle

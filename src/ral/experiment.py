@@ -20,10 +20,9 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .config import ExperimentConfig
-from .dataset import require_splits
 from .loop import run_ral
 from .nn import Network, save_checkpoint
-from .patches import build_training_set
+from .patches import VARIANTS, build_training_set, require_splits
 from .slices import SlideCells, evaluate_slides
 from .synth import oracle_eval
 
@@ -78,7 +77,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, write=True):
     # looked up before training, so that an oracle that lacks a group, or
     # disagrees with the training set's labels, fails first
     mislabeled = (None if oracle is None else
-                  oracle.mislabeled(ts.group_ids(), ts.group_labels())[ts.group])
+                  oracle.mislabeled(ts.group_ids(), ts.group_labels()).repeat(VARIANTS))
     in_channels = train_slides[0].pixels.shape[2]
     net = build_network_for(config, class_names, in_channels)
     evaluator = make_evaluator(config, class_names, train_slides, val_slides)

@@ -122,7 +122,7 @@ def _decode_pixmap(blob, name):
     off = 2
     fields = []
     while len(fields) < 3:
-        off = _skip_space_and_comments(blob, off, name)
+        off = _skip_space_and_comments(blob, off)
         start = off
         while off < len(blob) and not blob[off:off + 1].isspace():
             off += 1
@@ -153,7 +153,9 @@ def _decode_pixmap(blob, name):
                      dtype=np.float32)
 
 
-def _skip_space_and_comments(blob, off, name):
+def _skip_space_and_comments(blob, off):
+    """Offset of the first byte at or after ``off`` that is neither
+    whitespace nor in a comment, or the blob's length."""
     while off < len(blob):
         ch = blob[off:off + 1]
         if ch.isspace():
@@ -162,5 +164,5 @@ def _skip_space_and_comments(blob, off, name):
             while off < len(blob) and blob[off:off + 1] != b"\n":
                 off += 1
         else:
-            return off
-    raise ImageFormatError(f"{name}: truncated header at byte {off}")
+            break
+    return off

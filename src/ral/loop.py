@@ -183,15 +183,16 @@ def prune_by_confidence(ts: TrainingSet, conf, tau):
     return removed
 
 
-def prune_by_group(ts: TrainingSet, removed_this_round, group_threshold=4):
+def prune_by_group(ts: TrainingSet, removed_this_round, group_threshold):
     """Apply the group-majority rule to one round's removals.
 
     For each augmentation group, if strictly more than ``group_threshold``
     of its 8 variants were removed this round, the group's surviving
     members are deactivated too. Returns their record indices, ascending.
     """
-    counts = np.bincount(ts.group[removed_this_round], minlength=ts.group.max() + 1)
-    extra = np.flatnonzero(ts.active & (counts[ts.group] > group_threshold))
+    groups = np.asarray(removed_this_round, dtype=np.intp) // VARIANTS
+    counts = np.bincount(groups, minlength=len(ts) // VARIANTS)
+    extra = np.flatnonzero(ts.active & (counts > group_threshold).repeat(VARIANTS))
     ts.active[extra] = False
     return extra
 

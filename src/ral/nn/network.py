@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .layers import Conv2d, Dense, GlobalAvgPool, MaxPool2x2, training
+from .layers import SUPPORTED_KERNELS, Conv2d, Dense, GlobalAvgPool, MaxPool2x2, training
 from .loss import softmax, softmax_cross_entropy_batch
 
 LAYER_KINDS = ("conv", "maxpool", "avgpool", "dense")
@@ -56,7 +56,7 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.kind == "conv" and self.kernel not in (1, 3):
+        if self.kind == "conv" and self.kernel not in SUPPORTED_KERNELS:
             raise ValueError(f"conv kernel must be 1 or 3, got {self.kernel}")
         if self.kind == "maxpool" and self.kernel != 2:
             raise ValueError("maxpool kernel must be 2")

@@ -111,6 +111,15 @@ def split_slides(slides, val_fraction, seed):
     return train, val
 
 
+def require_splits(train, val):
+    """Raise unless both splits hold a slide; run before any training or
+    write, so that a split rounded down to nothing fails before the work."""
+    for name, split in (("training", train), ("validation", val)):
+        if not split:
+            raise ValueError(f"the {name} split is empty: raise val_fraction or "
+                             f"add slides so that each split gets at least one")
+
+
 @dataclass(frozen=True)
 class SlideMeta:
     """Slide identity and geometry only; enough to plan a tiling."""
@@ -185,10 +194,10 @@ def make_group_id(slide_id, col, row):
 class TrainingSet:
     """Patch records as numpy columns, plus their pixel data.
 
-    Record i is variant ``variant[i]`` (0 identity, 1-3 rotations, 4-7
-    vertically flipped rotations) of grid cell (``col[i]``, ``row[i]``) of
-    slide ``slide_ids[slide[i]]``, labeled ``class_names[label[i]]``.
-    ``group[i]`` numbers its augmentation group, the 8 variants of one crop.
+    Record i is variant i % 8 (0 identity, 1-3 rotations, 4-7 vertically
+    flipped rotations) of augmentation group i // 8, the 8 variants of the
+    crop at grid cell (``col[i]``, ``row[i]``) of slide
+    ``slide_ids[slide[i]]``; it is labeled ``class_names[label[i]]``.
     Records only ever get deactivated (``active`` cleared), never relabeled
     or deleted, so any pruning decision can be audited afterwards.
     ``crops`` is a (groups, H, W, C) float32 array holding each group's
@@ -203,8 +212,6 @@ class TrainingSet:
     slide: np.ndarray
     col: np.ndarray
     row: np.ndarray
-    variant: np.ndarray
-    group: np.ndarray
     label: np.ndarray
     active: np.ndarray
     crops: np.ndarray | None = None
@@ -227,23 +234,20 @@ class TrainingSet:
 
     def patch_ids(self, idx=slice(None)):
         """Id strings (slide/col/row/variant) of records ``idx``."""
-        columns = (self.slide[idx], self.col[idx], self.row[idx], self.variant[idx])
+        variant = np.arange(len(self))[idx] % VARIANTS
+        columns = (self.slide[idx], self.col[idx], self.row[idx], variant)
         return [make_patch_id(self.slide_ids[s], c, r, v)
                 for s, c, r, v in zip(*(a.tolist() for a in columns))]
 
-    def _group_firsts(self):
-        return np.unique(self.group, return_index=True)[1]
-
     def group_ids(self):
         """Id strings (slide/col/row) of the groups, indexed by group number."""
-        first = self._group_firsts()
-        columns = (self.slide[first], self.col[first], self.row[first])
+        columns = (self.slide[::VARIANTS], self.col[::VARIANTS], self.row[::VARIANTS])
         return [make_group_id(self.slide_ids[s], c, r)
                 for s, c, r in zip(*(a.tolist() for a in columns))]
 
     def group_labels(self):
         """Class names the groups' records carry, indexed by group number."""
-        return [self.class_names[i] for i in self.label[self._group_firsts()].tolist()]
+        return [self.class_names[i] for i in self.label[::VARIANTS].tolist()]
 
 
 class RecordImages:
@@ -261,10 +265,10 @@ class RecordImages:
         return len(self.ts)
 
     def __getitem__(self, rows):
-        ts = self.ts
-        _, h, w, c = ts.crops.shape
-        src = (ts.group[rows] * (h * w))[:, None] + _variant_sources(h)[ts.variant[rows]]
-        return np.take(ts.crops.reshape(-1, c), src, axis=0).reshape(len(src), h, w, c)
+        _, h, w, c = self.ts.crops.shape
+        group, variant = np.divmod(rows, VARIANTS)
+        src = (group * (h * w))[:, None] + _variant_sources(h)[variant]
+        return np.take(self.ts.crops.reshape(-1, c), src, axis=0).reshape(len(src), h, w, c)
 
 
 def build_manifest(slides, spec: TilingSpec, class_names):
@@ -287,11 +291,8 @@ def build_manifest(slides, spec: TilingSpec, class_names):
         row, col = np.divmod(np.arange(cols * rows), cols)
         cells.append((np.full(cols * rows, s), col, row))
     slide, col, row = (np.repeat(np.concatenate(parts), VARIANTS) for parts in zip(*cells))
-    n_groups = len(slide) // VARIANTS
     labels = np.array([name_to_idx[m.class_label] for m in slides], dtype=np.intp)
     return TrainingSet(list(class_names), [m.slide_id for m in slides], slide, col, row,
-                       variant=np.tile(np.arange(VARIANTS), n_groups),
-                       group=np.repeat(np.arange(n_groups), VARIANTS),
                        label=labels[slide], active=np.ones(len(slide), dtype=bool))
 
 
@@ -318,7 +319,7 @@ def build_training_set(slides, spec: TilingSpec, class_names=None):
 
 def manifest_to_dicts(ts: TrainingSet):
     """JSON-ready view of the patch records (labels as class names)."""
-    columns = (ts.slide, ts.col, ts.row, ts.variant, ts.label, ts.active)
+    columns = (ts.slide, ts.col, ts.row, np.arange(len(ts)) % VARIANTS, ts.label, ts.active)
     out = []
     for s, c, r, v, label, active in zip(*(a.tolist() for a in columns)):
         sid = ts.slide_ids[s]

@@ -26,7 +26,7 @@ import numpy as np
 
 from .imageio import save_image
 from .patches import (SlideImage, _round_half_up, check_types, make_group_id, require_count,
-                      split_slides)
+                      require_splits, split_slides)
 
 DEFAULT_CLASS_NAMES = ("Normal", "Benign", "InSitu", "Invasive")
 
@@ -77,7 +77,7 @@ class SynthSpec:
         if self.classes == 1 and self.contaminated_per_slide():
             raise ValueError(f"contamination_rho {self.contamination_rho} needs a second "
                              f"class to paint mislabeled regions with, got classes 1")
-        # an empty validation split is allowed here; runs reject it on load
+        # an empty validation split is allowed here; write_dataset refuses it
         if not 0.0 <= val_fraction < 1.0:
             raise ValueError(f"generator val_fraction must be in [0, 1), got {val_fraction}")
         if _round_half_up(val_fraction * self.slides_per_class) >= self.slides_per_class:
@@ -275,7 +275,9 @@ def oracle_eval(removed, mislabeled):
 
 def write_dataset(dataset: SynthDataset, out_dir):
     """Materialize the dataset: train/<class>/<slide>.ppm, val/...,
-    oracle.json and generator.json."""
+    oracle.json and generator.json. A split with no slide is refused before
+    any file is written: no command could read the directory."""
+    require_splits(dataset.train_slides, dataset.val_slides)
     out = Path(out_dir)
     for split_name, slides in (("train", dataset.train_slides),
                                ("val", dataset.val_slides)):

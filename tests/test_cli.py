@@ -338,8 +338,10 @@ class TestConfig:
          "experiment config key 'ral' must be a RalConfig, got {\"tau\": 0.5}"),
         (lambda: dataclasses.replace(ExperimentConfig(), output_dir=5),
          "experiment config key 'output_dir' must be a string, got 5"),
+        # the top-level val_fraction is in (0, 1) by the config's own check
+        (lambda: SynthSpec().build(0, 1.0), "generator val_fraction must be in [0, 1), got 1.0"),
     ], ids=["ral", "tiling", "synthetic", "network", "list", "experiment", "section",
-            "replace"])
+            "replace", "generator-val-fraction"])
     def test_direct_construction_is_checked(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
@@ -448,6 +450,17 @@ class TestCommands:
         assert main(["generate", "--config", str(cfg_path), "--out", str(data)]) == 1
         assert ("ral: error: generator val_fraction 0.9 leaves no training slide of 5 per "
                 "class\n") in capsys.readouterr().err
+        assert [p.name for p in data.iterdir()] == ["error.log"]
+
+    def test_generate_rejects_a_split_with_no_validation_slide(self, tmp_path, capsys):
+        # round(0.2 * 2) = 0 validation slides: no command could read the directory
+        cfg_path, cfg = tiny_config(tmp_path)
+        cfg["synthetic"]["slides_per_class"] = 2
+        cfg_path.write_text(json.dumps(cfg))
+        data = Path(cfg["dataset_path"])
+        assert main(["generate", "--config", str(cfg_path), "--out", str(data)]) == 1
+        assert ("ral: error: the validation split is empty: raise val_fraction or add slides "
+                "so that each split gets at least one\n") in capsys.readouterr().err
         assert [p.name for p in data.iterdir()] == ["error.log"]
 
     def test_dataset_directory_never_mutated(self, tmp_path):
@@ -864,6 +877,14 @@ class TestDatasetLayout:
         with pytest.raises(ValueError, match=f"^{re.escape(message.format(root=root))}$"):
             load_dataset(root, val_fraction=0.6, seed=0)
 
+    def test_layout_is_checked_before_the_oracle_is_read(self, tmp_path):
+        root = tmp_path / "data"
+        write_flat_dataset(root / "train", 3)
+        (root / "oracle.json").write_text("[7")  # no JSON, and no oracle entry
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{root}: found only one of train/ and val/") + "$"):
+            load_dataset(root)
+
 
 class TestWindow:
     def test_undivided_slides_fail_before_training(self, tmp_path, capsys, monkeypatch):
@@ -1009,6 +1030,24 @@ class TestPredictSlideClassNames:
         assert [p.name for p in out.iterdir()] == ["error.log"]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("layout, message", [
+        ("other-val-classes", "{root}: train and val class directories differ"),
+        ("train-without-val", "{root}: found only one of train/ and val/"),
+    ])
+    def test_dataset_that_load_dataset_rejects_fails(self, tmp_path, capsys, layout, message):
+        root = tmp_path / "data"
+        write_flat_dataset(root / "train", 3)
+        if layout == "other-val-classes":
+            write_flat_dataset(root / "val", 1)
+            (root / "val" / "Normal").rename(root / "val" / "Other")
+        out = tmp_path / "pred"
+        assert self.run(tmp_path, str(root), out) == 1
+        message = message.format(root=root)
+        assert f"ral: error: {message}\n" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["error.log"]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_dataset(root)
 
 
 class TestEvaluationCells:

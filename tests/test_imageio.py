@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -121,6 +122,29 @@ def test_bad_maxval_rejected(tmp_path):
     path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
     with pytest.raises(ImageFormatError, match="maxval"):
         load_image(path)
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"P5\n2 ", r"truncated header at byte 5: expected height$"),
+    (b"P5\n# a comment", r"truncated header at byte 14: expected width$"),
+    (b"P5\n2 x\n255\n", r"bad header token b'x' at byte 5$"),
+    (b"P6\n0 2\n255\n", r"non-positive dimensions 0x2$"),
+    (b"P5\n1 1\n255", r"truncated at byte 10: missing pixel data$"),
+], ids=["header", "comment", "token", "dimensions", "pixels"])
+def test_malformed_header_rejected(tmp_path, blob, message):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(blob)
+    with pytest.raises(ImageFormatError, match=r"h\.pgm: " + message):
+        load_image(path)
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 5, 2), (3, 5, 4), (2, 3, 5, 3)])
+def test_unwritable_shape_rejected(tmp_path, shape):
+    path = tmp_path / "w.ppm"
+    message = f"cannot write shape {shape} as a pixmap"
+    with pytest.raises(ImageFormatError, match=f"^{re.escape(message)}$"):
+        save_image(path, np.zeros(shape, np.float32))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("shape", [(3, 5), (3, 5, 1), (3, 5, 3)])

@@ -180,7 +180,7 @@ class TestPruneByConfidence:
 
 
 def first_group(ts):
-    return np.flatnonzero(ts.group == ts.group[0])
+    return np.arange(8)
 
 
 class TestPruneByGroup:
@@ -189,7 +189,7 @@ class TestPruneByGroup:
         group = first_group(ts)
         hit = group[:5]
         ts.active[hit] = False
-        extra = prune_by_group(ts, hit)
+        extra = prune_by_group(ts, hit, 4)
         assert extra.tolist() == group[5:].tolist()
 
     def test_exactly_four_removed_keeps_rest(self):
@@ -197,12 +197,12 @@ class TestPruneByGroup:
         group = first_group(ts)
         hit = group[:4]
         ts.active[hit] = False
-        assert prune_by_group(ts, hit).size == 0
+        assert prune_by_group(ts, hit, 4).size == 0
         assert ts.active[group[4:]].all()
 
     def test_untouched_group_unchanged(self):
         ts = toy_set(n_per_class=1)
-        assert prune_by_group(ts, []).size == 0
+        assert prune_by_group(ts, [], 4).size == 0
         assert ts.n_active == len(ts)
 
     def test_exhaustive_all_removal_patterns(self):
@@ -211,7 +211,7 @@ class TestPruneByGroup:
             group = first_group(ts)
             hit = group[[i for i in range(8) if pattern >> i & 1]]
             ts.active[hit] = False
-            extra = prune_by_group(ts, hit)
+            extra = prune_by_group(ts, hit, 4)
             survivors = [i for i in group if i not in hit]
             if bin(pattern).count("1") > 4:
                 assert extra.tolist() == survivors
@@ -221,11 +221,10 @@ class TestPruneByGroup:
     def test_groups_counted_separately(self):
         # 5 removals in one group, 4 in another: only the first group goes
         ts = toy_set(n_per_class=1)
-        a = np.flatnonzero(ts.group == 0)
-        b = np.flatnonzero(ts.group == 1)
+        a, b = np.arange(8), np.arange(8, 16)
         hit = np.concatenate([b[:4], a[:5]])
         ts.active[hit] = False
-        assert prune_by_group(ts, hit).tolist() == a[5:].tolist()
+        assert prune_by_group(ts, hit, 4).tolist() == a[5:].tolist()
         assert ts.active[b[4:]].all()
 
     def test_only_this_rounds_removals_count(self):
@@ -235,7 +234,7 @@ class TestPruneByGroup:
         ts.active[group[:3]] = False
         now = group[3:5]
         ts.active[now] = False
-        assert prune_by_group(ts, now).size == 0
+        assert prune_by_group(ts, now, 4).size == 0
 
 
 @pytest.mark.parametrize("train, message", [

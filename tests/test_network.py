@@ -391,6 +391,12 @@ class Gathers:
                 self.done.append(me)
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+def test_cpus_are_the_affinity_set():
+    # the one unmocked call: every two-lane test replaces _cpus
+    assert network._cpus() == len(os.sched_getaffinity(0))
+
+
 @pytest.fixture
 def two_cpus(monkeypatch):
     # two lanes need two CPUs; give every host two, so both paths run

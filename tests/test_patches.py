@@ -134,6 +134,11 @@ class TestAugment8:
         with pytest.raises(ValueError, match="square"):
             augment8(np.zeros((4, 6, 3), dtype=np.float32))
 
+    @pytest.mark.parametrize("variant", [-1, 8])
+    def test_variant_out_of_range_rejected(self, variant):
+        with pytest.raises(ValueError, match=f"^variant must be 0..7, got {variant}$"):
+            variant_transform(np.zeros((2, 2, 1), dtype=np.float32), variant)
+
 
 class TestManifest:
     def test_full_scale_record_count(self):
@@ -147,8 +152,6 @@ class TestManifest:
         ts = build_manifest([SlideMeta("s", "Normal", 512, 512)],
                             TilingSpec(512, 512), ["Normal"])
         assert len(ts) == 8
-        assert set(ts.group.tolist()) == {0}
-        assert sorted(ts.variant.tolist()) == list(range(8))
         assert ts.patch_ids() == [f"s/0/0/{v}" for v in range(8)]
         assert ts.group_ids() == ["s/0/0"]
 
@@ -165,9 +168,11 @@ class TestManifest:
     def test_groups_complete_and_labels_inherited(self):
         metas = [SlideMeta("n1", "Normal", 96, 96), SlideMeta("b1", "Benign", 96, 96)]
         ts = build_manifest(metas, TilingSpec(32, 32), ["Benign", "Normal"])
-        for g in np.unique(ts.group):
-            members = np.flatnonzero(ts.group == g)
-            assert sorted(ts.variant[members].tolist()) == list(range(8))
+        assert len(ts) % 8 == 0
+        for g in range(len(ts) // 8):
+            members = np.arange(8 * g, 8 * g + 8)
+            variants = [int(pid.rsplit("/", 1)[1]) for pid in ts.patch_ids(members)]
+            assert sorted(variants) == list(range(8))
             assert len(set(ts.label[members].tolist())) == 1
             assert len({(s, c, r) for s, c, r in zip(ts.slide[members], ts.col[members],
                                                       ts.row[members])}) == 1
@@ -186,9 +191,12 @@ class TestManifest:
                 for col in range(cols):
                     expected.extend((s, col, row, v) for v in range(8))
         got = list(zip(ts.slide.tolist(), ts.col.tolist(), ts.row.tolist(),
-                       ts.variant.tolist()))
+                       [i % 8 for i in range(len(ts))]))
         assert got == expected
-        assert ts.group.tolist() == [i // 8 for i in range(len(ts))]
+        # record i is variant i % 8 of group i // 8, whose id is group_ids()[i // 8]
+        group_ids = ts.group_ids()
+        assert len(group_ids) == len(ts) // 8
+        assert [f"{group_ids[i // 8]}/{i % 8}" for i in range(len(ts))] == ts.patch_ids()
 
 
 class TestTrainingSetBuild:
@@ -202,10 +210,10 @@ class TestTrainingSetBuild:
         assert pixels.dtype == np.float32
         # variant 0 of group a/1/0 is the raw crop at x0=4, y0=0
         i = ts.patch_ids().index("a/1/0/0")
-        assert ts.variant[i] == 0
+        assert i % 8 == 0
         np.testing.assert_array_equal(pixels[i], slides[0].pixels[0:4, 4:8])
         for i in range(len(ts)):
-            s, c, r, v = ts.slide[i], ts.col[i], ts.row[i], ts.variant[i]
+            s, c, r, v = ts.slide[i], ts.col[i], ts.row[i], i % 8
             crop = slides[s].pixels[4 * r:4 * r + 4, 4 * c:4 * c + 4]
             np.testing.assert_array_equal(pixels[i], variant_transform(crop, v))
 
@@ -220,8 +228,8 @@ class TestTrainingSetBuild:
         got = ts.images[rows]
         assert got.shape == (5, 3, 3, 3) and got.dtype == np.float32
         for k, i in enumerate(rows):
-            crop = ts.crops[ts.group[i]]
-            np.testing.assert_array_equal(got[k], variant_transform(crop, ts.variant[i]))
+            crop = ts.crops[i // 8]
+            np.testing.assert_array_equal(got[k], variant_transform(crop, i % 8))
 
     @pytest.mark.parametrize("spec", [TilingSpec(4, 4), TilingSpec(4, 2), TilingSpec(5, 3)])
     def test_crops_are_the_tiles(self, spec):
@@ -254,4 +262,4 @@ class TestTrainingSetBuild:
                             "active": True}
         assert dicts[10]["active"] is False
         group_ids = ts.group_ids()
-        assert [group_ids[g] for g in ts.group] == [d["group_id"] for d in dicts]
+        assert [group_ids[i // 8] for i in range(len(ts))] == [d["group_id"] for d in dicts]

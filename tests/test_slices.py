@@ -165,6 +165,10 @@ class TestMajorityVote:
         label, tie_broken, _ = majority_vote(labels, probs)
         assert label == 1 and tie_broken
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="^majority_vote needs at least one cell$"):
+            majority_vote(np.zeros((0, 3), dtype=int), np.zeros((0, 3, 4)))
+
     def test_invariant_under_cell_permutation(self):
         rng = np.random.default_rng(6)
         probs = rng.random((3, 4, 4))
@@ -309,3 +313,9 @@ class TestSliceAccuracy:
         macro = macro_accuracy(truth_list, pred_list, 4)
         # per-class accuracy averaged over equally sized classes == plain
         assert macro == pytest.approx(plain_accuracy(truth_list, pred_list))
+
+    @pytest.mark.parametrize("score", [lambda t, p: macro_accuracy(t, p, 4), plain_accuracy],
+                             ids=["macro", "plain"])
+    def test_empty_label_set_rejected(self, score):
+        with pytest.raises(ValueError, match="^cannot score an empty label set$"):
+            score([], [])

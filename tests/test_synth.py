@@ -197,7 +197,7 @@ class TestOracleEval:
         ds = generate(spec)
         ts = build_training_set(ds.train_slides, TilingSpec(spec.window, spec.stride),
                                 ds.class_names)
-        mislabeled = ds.oracle.mislabeled(ts.group_ids())[ts.group]
+        mislabeled = ds.oracle.mislabeled(ts.group_ids()).repeat(8)
         # 4 of each slide's 16 regions are mislabeled
         assert mislabeled.sum() == len(ts) // 4
         f = 0.3
@@ -229,19 +229,28 @@ class TestRoundTrip:
                                    atol=0.5 / 255 + 1e-6)
 
     def test_generator_metadata_written(self, tmp_path):
-        ds = generate(small_spec(slides_per_class=2))
+        ds = generate(small_spec(slides_per_class=3))
         root = write_dataset(ds, tmp_path / "data")
         meta = json.loads((root / "generator.json").read_text())
         assert meta["window"] == 16
-        assert meta["slides_per_class"] == 2
+        assert meta["slides_per_class"] == 3
         # neither is a field; both are written, at their old key positions
         assert meta["seed"] == 3
         assert meta["texture_params"] == [list(t) for t in DEFAULT_TEXTURES]
         assert list(meta)[-3:] == ["texture_params", "val_fraction", "seed"]
 
+    def test_split_with_no_validation_slide_is_not_written(self, tmp_path):
+        # round(0.2 * 2) = 0 validation slides: generate allows it in memory,
+        # but no command could read the directory, so nothing is written
+        ds = generate(small_spec(slides_per_class=2))
+        assert ds.train_slides and not ds.val_slides
+        with pytest.raises(ValueError, match="the validation split is empty"):
+            write_dataset(ds, tmp_path / "data")
+        assert not (tmp_path / "data").exists()
+
     @pytest.mark.parametrize("field", ["group_id", "assigned_label", "true_label"])
     def test_oracle_entry_without_a_field_rejected(self, tmp_path, field):
-        root = write_dataset(generate(small_spec(slides_per_class=2)), tmp_path / "data")
+        root = write_dataset(generate(small_spec(slides_per_class=3)), tmp_path / "data")
         entries = json.loads((root / "oracle.json").read_text())
         del entries[3][field]
         (root / "oracle.json").write_text(json.dumps(entries))
@@ -249,7 +258,7 @@ class TestRoundTrip:
             load_dataset(root)
 
     def test_oracle_entry_that_is_no_object_rejected(self, tmp_path):
-        root = write_dataset(generate(small_spec(slides_per_class=2)), tmp_path / "data")
+        root = write_dataset(generate(small_spec(slides_per_class=3)), tmp_path / "data")
         entries = json.loads((root / "oracle.json").read_text())
         entries[2] = 7
         (root / "oracle.json").write_text(json.dumps(entries))
@@ -257,7 +266,7 @@ class TestRoundTrip:
             load_dataset(root)
 
     def test_duplicate_group_id_rejected(self, tmp_path):
-        root = write_dataset(generate(small_spec(slides_per_class=2)), tmp_path / "data")
+        root = write_dataset(generate(small_spec(slides_per_class=3)), tmp_path / "data")
         entries = json.loads((root / "oracle.json").read_text())
         first = entries[0]
         # a second entry for the same group that disagrees on its true label
