@@ -14,9 +14,10 @@ that keeps this true: mutate parameters in place (``layer.w[...] = x``,
 ``p -= d``) and never rebind ``layer.w`` or ``layer.b`` of a network's
 layer, since a rebound array is no longer part of ``theta``.
 
-Read-only passes (``predict_proba``) may run in two lanes: the calling
-thread and one helper thread each forward half of the pass's chunks.
-Layers keep no per-call state and the read-only mode is per thread
+Read-only passes (``predict_proba``) of two chunks or more run in two
+lanes when the process may use two CPUs: the calling thread and one helper
+thread each forward half of the pass's chunks, at every input size. Layers
+keep no per-call state and the read-only mode is per thread
 (``layers.training``), so the lanes share the network as it is.
 
 Importing this module fixes glibc malloc's mmap and trim thresholds for
@@ -60,6 +61,8 @@ class LayerSpec:
             raise ValueError(f"conv kernel must be 1 or 3, got {self.kernel}")
         if self.kind == "maxpool" and self.kernel != 2:
             raise ValueError("maxpool kernel must be 2")
+        if self.kind in ("conv", "dense") and self.channels < 1:
+            raise ValueError(f"{self.kind} channels must be positive, got {self.channels}")
         if self.activation not in ("relu", "none"):
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -95,9 +98,10 @@ class NetworkSpec:
 
     @staticmethod
     def from_dict(d):
-        # 16.0 == 16, so a float would pass every later check
-        if not all(type(n) is int for n in (*d["input"], d["classes"])):
-            raise ValueError(f"input and classes must be integers, "
+        # 16.0 == 16, so a float would pass every later check, and a zero
+        # size would load and fail later in an unrelated computation
+        if not all(type(n) is int and n > 0 for n in (*d["input"], d["classes"])):
+            raise ValueError(f"input and classes must be positive integers, "
                              f"got {d['input']!r} and {d['classes']!r}")
         return NetworkSpec(tuple(d["input"]),
                            tuple(LayerSpec(**x) for x in d["layers"]),
@@ -157,18 +161,14 @@ def build_classifier(input_size, channel_plan, in_channels=3, classes=4):
 
 
 # Samples per forward() call of a predict_proba pass, for the scoring
-# pass, a slide's grid and a whole evaluation split alike, in one lane or
-# in each of two. The chunk size never changes the bytes, since every
-# sample is forwarded on its own arithmetic, but it does change the time,
-# as the patch matrices grow with the chunk. One lane of plan 8/16/8 (one
-# OpenBLAS thread, a 2-core x86 host, best of 15) took 124 us a record at
-# 32 samples of 32x32 against 136 us at 64; at 16x16, 37.7 against 37.1 us.
+# pass, a slide's grid and a whole evaluation split alike, at every input
+# size, in one lane or in each of two. The chunk size never changes the
+# bytes, since every sample is forwarded on its own arithmetic, but it does
+# change the time, as the patch matrices grow with the chunk. One lane of
+# plan 8/16/8 (one OpenBLAS thread, a 2-core x86 host, best of 15) took
+# 124 us a record at 32 samples of 32x32 against 136 us at 64; at 16x16,
+# 37.7 against 37.1 us.
 PREDICT_CHUNK = 32
-
-# Inputs of at least 32x32 pixels run read-only passes in two lanes when
-# the process may use two CPUs. Below that a chunk is too little work per
-# numpy call: two lanes contend for the GIL and gain nothing at 16x16.
-TWO_LANE_MIN_PIXELS = 32 * 32
 
 # The second lane. Its one thread starts on the first two-lane pass.
 _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ral-predict")
@@ -330,11 +330,6 @@ class Network:
         """Class probabilities, one row per sample; rows sum to 1."""
         return softmax(self.logits(batch))
 
-    def _lanes(self):
-        """Threads a read-only pass of this network runs in: 1 or 2."""
-        h, w, _ = self.spec.input
-        return 2 if h * w >= TWO_LANE_MIN_PIXELS and _cpus() >= 2 else 1
-
     def predict_proba(self, batch, rows=None):
         """Class probabilities of batch[rows], or of all of batch, for read-only passes.
 
@@ -345,20 +340,20 @@ class Network:
         anything with a len() that gathers samples into one array when
         indexed with an index array: ``TrainingSet.images`` for the scoring
         pass, ``slices.SlideCells`` for a slide's grid or all the cells of
-        an evaluation split. Gathers must be read-only: in two lanes
-        (``_lanes``) the calling thread runs the first half of the chunks
-        while the helper thread runs the second. An exception in either
-        lane reaches the caller once both lanes have stopped.
+        an evaluation split. Gathers must be read-only: a pass of two
+        chunks or more, when the process may use two CPUs (``_cpus``),
+        runs in two lanes, the calling thread the first half of the chunks
+        and the helper thread the second; any other pass runs in the
+        caller. An exception in either lane reaches the caller once both
+        lanes have stopped.
         """
         rows = np.arange(len(batch)) if rows is None else rows
-        if len(rows) <= PREDICT_CHUNK:
-            return self.forward(batch[rows])
         starts = range(0, len(rows), PREDICT_CHUNK)
 
         def run(part):
             return [self.forward(batch[rows[i:i + PREDICT_CHUNK]]) for i in part]
 
-        if self._lanes() == 1:
+        if len(starts) < 2 or _cpus() < 2:
             return np.concatenate(run(starts))
         half = (len(starts) + 1) // 2
         helper = _HELPER.submit(run, starts[half:])

@@ -21,7 +21,8 @@ from ral.dataset import load_dataset
 from ral.experiment import run_experiment
 from ral.imageio import load_image, save_image, save_ralt
 from ral.loop import RalConfig
-from ral.nn import Adam, Network, build_classifier, network, save_checkpoint
+from ral.nn import (Adam, LayerSpec, Network, NetworkSpec, build_classifier, network,
+                    save_checkpoint)
 from ral.patches import TilingSpec
 from ral.slices import SlideCells
 from ral.synth import MislabelOracle, SynthSpec
@@ -1096,9 +1097,17 @@ class TestEvaluationCells:
         assert len(scored) == 2 and all(c is b for c, b in zip(scored, built))
 
 
+# the cause each zero-size edit must name
+ZERO_SIZE_CAUSES = {
+    "zero-classes": "input and classes must be positive integers, got [16, 16, 3] and 0",
+    "zero-input": "input and classes must be positive integers, got [0, 16, 3] and 4",
+    "zero-width": "conv channels must be positive, got 0",
+}
+
+
 class TestMalformedCheckpointSpec:
     @pytest.mark.parametrize("edit", ["no-layers", "unknown-layer-key", "list", "sigmoid",
-                                      "float-input", "float-classes"])
+                                      "float-input", "float-classes", *ZERO_SIZE_CAUSES])
     def test_eval_fails_naming_the_spec_file(self, tmp_path, capsys, edit):
         cfg_path, cfg = tiny_config(tmp_path)
         main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
@@ -1116,6 +1125,12 @@ class TestMalformedCheckpointSpec:
             spec["input"][0] = 16.0
         elif edit == "float-classes":
             spec["classes"] = 4.0
+        elif edit == "zero-classes":  # a head of no unit per class composes
+            spec["classes"] = spec["layers"][-1]["channels"] = 0
+        elif edit == "zero-input":
+            spec["input"][0] = 0
+        elif edit == "zero-width":
+            spec["layers"][0]["channels"] = 0
         else:
             spec = list(spec.values())
         spec_path.write_text(json.dumps(spec))
@@ -1123,7 +1138,28 @@ class TestMalformedCheckpointSpec:
         out = tmp_path / "ev"
         assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
                      "--out", str(out)]) == 1
-        assert f"ral: error: {spec_path}: malformed network spec (" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"ral: error: {spec_path}: malformed network spec (" in err
+        assert ZERO_SIZE_CAUSES.get(edit, "") in err
+        assert [p.name for p in out.iterdir()] == ["error.log"]
+
+    def test_predict_slide_without_dataset_fails_naming_the_spec_file(self, tmp_path, capsys):
+        # no dataset_path: the class names come from the spec's class count
+        cfg_path, cfg = tiny_config(tmp_path)
+        cfg_path.write_text(json.dumps({**cfg, "dataset_path": None}))
+        net = Network(NetworkSpec((8, 8, 3), (LayerSpec("dense", channels=2),), 2), seed=0)
+        ckpt = save_checkpoint(tmp_path / "w.ralw", net)
+        spec = net.spec.to_dict()
+        spec["classes"] = spec["layers"][0]["channels"] = 0
+        spec_path = tmp_path / "w.json"
+        spec_path.write_text(json.dumps(spec))
+        image = tmp_path / "slide.ppm"
+        save_image(image, np.full((32, 32, 3), 0.5, np.float32))
+        out = tmp_path / "pred"
+        assert main(["predict-slide", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--image", str(image), "--out", str(out)]) == 1
+        assert (f"ral: error: {spec_path}: malformed network spec (ValueError('input and "
+                f"classes must be positive integers") in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["error.log"]
 
 

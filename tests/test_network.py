@@ -403,11 +403,11 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(network, "_cpus", lambda: 2)
 
 
-@pytest.mark.parametrize("size, lanes", [(16, 1), (32, 2)], ids=["16x16", "32x32"])
-def test_predict_proba_matches_training_forward_bytes(two_cpus, size, lanes):
+@pytest.mark.parametrize("size", [16, 32], ids=["16x16", "32x32"])
+def test_predict_proba_matches_training_forward_bytes(two_cpus, size):
     # the read-only path builds no caches but must compute the same bytes as
-    # the training path, chunk by chunk, across several chunks, in one lane
-    # below 32x32 and in two lanes from 32x32
+    # the training path, chunk by chunk, across several chunks, in two lanes
+    # at every input size
     net = Network(build_classifier(size, (2, 4, 2)), seed=12)
     rng = np.random.default_rng(13)
     x = rng.random((2 * PREDICT_CHUNK + 7, size, size, 3), dtype=np.float32)
@@ -415,16 +415,18 @@ def test_predict_proba_matches_training_forward_bytes(two_cpus, size, lanes):
                                for i in range(0, len(x), PREDICT_CHUNK)])
     batch = Gathers(x)
     got = net.predict_proba(batch)
-    assert len(set(batch.threads)) == lanes
+    assert len(set(batch.threads)) == 2
     assert got.dtype == expected.dtype
     np.testing.assert_array_equal(got, expected)
     rows = np.arange(len(x))[::-3]
     np.testing.assert_array_equal(net.predict_proba(x, rows), net.predict_proba(x[rows]))
 
 
-def test_one_lane_gives_the_bytes_of_two(monkeypatch):
-    net = Network(build_classifier(32, (2, 4, 2)), seed=16)
-    x = np.random.default_rng(17).random((3 * PREDICT_CHUNK + 5, 32, 32, 3), dtype=np.float32)
+@pytest.mark.parametrize("size", [16, 32], ids=["16x16", "32x32"])
+def test_one_lane_gives_the_bytes_of_two(monkeypatch, size):
+    net = Network(build_classifier(size, (2, 4, 2)), seed=16)
+    x = np.random.default_rng(17).random((3 * PREDICT_CHUNK + 5, size, size, 3),
+                                         dtype=np.float32)
     rows = np.random.default_rng(18).permutation(len(x))[:2 * PREDICT_CHUNK + 9]
     got = {}
     for cpus in (1, 2):
@@ -433,6 +435,20 @@ def test_one_lane_gives_the_bytes_of_two(monkeypatch):
         got[cpus] = net.predict_proba(batch, rows)
         assert len(set(batch.threads)) == cpus
     np.testing.assert_array_equal(got[1], got[2])
+
+
+@pytest.mark.parametrize("n", [PREDICT_CHUNK, PREDICT_CHUNK - 9], ids=["one-chunk", "short"])
+def test_pass_of_one_chunk_runs_in_the_caller(two_cpus, monkeypatch, n):
+    # two CPUs, but one chunk: nothing to hand the helper
+    def submit(*args):
+        raise AssertionError("a one-chunk pass used the helper")
+
+    monkeypatch.setattr(network._HELPER, "submit", submit)
+    net = Network(build_classifier(32, (2, 4, 2)), seed=23)
+    x = np.random.default_rng(24).random((n, 32, 32, 3), dtype=np.float32)
+    batch = Gathers(x)
+    np.testing.assert_array_equal(net.predict_proba(batch), net.forward(x))
+    assert batch.threads == [threading.get_ident()]
 
 
 @pytest.mark.parametrize("failing", ["helper", "caller"])
