@@ -170,16 +170,26 @@ def _require_classes(net, class_names, checkpoint):
                          f"but the dataset has {len(class_names)}")
 
 
+def _load_grid_checkpoint(path):
+    """(network, window, channels) of checkpoint ``path``. Slides are cut
+    into square cells, so a checkpoint of non-square input is rejected."""
+    net = load_checkpoint(path)
+    height, width, channels = net.spec.input
+    if height != width:
+        raise ValueError(f"checkpoint {path} takes {height}x{width} (HxW) input, not square")
+    return net, height, channels
+
+
 def cmd_eval(args, config, out):
     """Patch and slide accuracy of the checkpoint on both splits, written as
     eval.json. The grid window is the checkpoint's input size, whatever the
     config's tiling; a checkpoint whose class or channel count is not the
-    dataset's is rejected before any forward pass or write."""
-    net = load_checkpoint(args.checkpoint)
+    dataset's is rejected before any forward pass or write, and one of
+    non-square input before the dataset is read."""
+    net, window, channels = _load_grid_checkpoint(args.checkpoint)
     train_slides, val_slides, class_names, _ = config.load_dataset()
     require_splits(train_slides, val_slides)
     _require_classes(net, class_names, args.checkpoint)
-    window, _, channels = net.spec.input
     if train_slides[0].pixels.shape[2] != channels:  # every slide has the first one's count
         raise ValueError(f"checkpoint {args.checkpoint} takes {channels}-channel input, but "
                          f"the dataset's slides have {train_slides[0].pixels.shape[2]} channels")
@@ -195,13 +205,12 @@ def cmd_predict_slide(args, config, out):
     """Classify one slide and write its class map. Class names come from the
     dataset's class directories, under the layout check of ``load_dataset``,
     or are ``class0``, ``class1``, ... when the config sets no dataset_path."""
-    net = load_checkpoint(args.checkpoint)
+    net, window, channels = _load_grid_checkpoint(args.checkpoint)
     if config.dataset_path is None:
         class_names = [f"class{i}" for i in range(net.spec.classes)]
     else:
         class_names = class_names_of(config.dataset_path)
     _require_classes(net, class_names, args.checkpoint)
-    window, _, channels = net.spec.input
     slide = load_slide(args.image, class_names[0], channels,
                        f"the input of checkpoint {args.checkpoint}")
     pred = predict_slide(net, slide, window)

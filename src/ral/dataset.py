@@ -93,12 +93,16 @@ def load_dataset(root, val_fraction=0.2, seed=0):
     oracle = None
     oracle_path = root / "oracle.json"
     if oracle_path.exists():
-        oracle = MislabelOracle.from_json(oracle_path.read_text())
+        oracle = MislabelOracle.from_json(oracle_path.read_text(), oracle_path)
         if (root / "generator.json").exists():
             meta = json.loads((root / "generator.json").read_text())
             if not isinstance(meta, dict) or not {"window", "stride"} <= meta.keys():
                 raise ValueError(f"{root / 'generator.json'}: no window and stride of the regions")
             oracle.grid = (meta["window"], meta["stride"])
+            # "16" or true would read as a grid that no tiling can match
+            if not all(type(n) is int and n > 0 for n in oracle.grid):
+                raise ValueError(f"{root / 'generator.json'}: window and stride must be positive "
+                                 f"integers, got {oracle.grid[0]!r} and {oracle.grid[1]!r}")
     train = _load_split(splits[0], class_names)
     if len(splits) == 1:
         train, val = split_slides(train, val_fraction, seed)

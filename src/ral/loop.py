@@ -88,8 +88,11 @@ class RalResult:
     reports: list
     audit: list = field(default_factory=list)  # (iteration, patch_id, reason)
     status: str = "completed"                  # or "empty_refined_set"
-    total_epochs: int = 0
-    epoch_logs: list = field(default_factory=list)
+    epoch_logs: list = field(default_factory=list)  # one list of EpochStats per phase
+
+    @property
+    def total_epochs(self):
+        return sum(map(len, self.epoch_logs))
 
 
 def _train_epochs(net, ts: TrainingSet, config: RalConfig, adam, rng,
@@ -224,7 +227,7 @@ def run_ral(net, ts: TrainingSet, config: RalConfig, evaluator=None):
         return conf
 
     log0 = initial_train(net, ts, config, adam, rng)
-    result = RalResult([], total_epochs=len(log0), epoch_logs=[log0])
+    result = RalResult([], epoch_logs=[log0])
     n0 = ts.n_active
     conf = score_and_measure(IterationReport(0, n0, 0, 0, n0))
 
@@ -243,8 +246,7 @@ def run_ral(net, ts: TrainingSet, config: RalConfig, evaluator=None):
             measure(report)
             result.status = "empty_refined_set"
             return result
-        log_k = finetune(net, ts, config, adam, rng, epoch_offset=result.total_epochs)
-        result.total_epochs += len(log_k)
-        result.epoch_logs.append(log_k)
+        result.epoch_logs.append(
+            finetune(net, ts, config, adam, rng, epoch_offset=result.total_epochs))
         conf = score_and_measure(report)
     return result

@@ -98,6 +98,9 @@ class NetworkSpec:
 
     @staticmethod
     def from_dict(d):
+        # a dense-only spec composes at any rank, but every grid is HxWxC
+        if len(d["input"]) != 3:
+            raise ValueError(f"input must be [height, width, channels], got {d['input']!r}")
         # 16.0 == 16, so a float would pass every later check, and a zero
         # size would load and fail later in an unrelated computation
         if not all(type(n) is int and n > 0 for n in (*d["input"], d["classes"])):

@@ -16,9 +16,7 @@ tiling to cut the same grid, so "this patch group is mislabeled" is exact.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import InitVar, asdict, dataclass, replace
-from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -120,10 +118,6 @@ class OracleEntry(NamedTuple):
         return self.assigned_label != self.true_label
 
 
-# an oracle.json object's fields, in OracleEntry's order
-_entry_fields = operator.itemgetter(*OracleEntry._fields)
-
-
 class MislabelOracle:
     """group_id -> (assigned label, true label) for every generated region."""
 
@@ -157,31 +151,25 @@ class MislabelOracle:
                            for e in self.entries.values()], indent=1)
 
     @staticmethod
-    def from_json(text):
+    def from_json(text, source="oracle.json"):
+        """The oracle that ``text``, the JSON list of ``to_json``, holds, its
+        entries in list order. Raises a ValueError, naming ``source``, for
+        anything but a list, and else at the first entry at fault: one that
+        is no object or lacks a field, or a repeat of an earlier group_id."""
         raw = json.loads(text)
-        try:
-            # a non-object entry or a missing field raises here, a repeated
-            # group_id leaves the oracle shorter than the list
-            oracle = MislabelOracle(map(tuple.__new__, repeat(OracleEntry),
-                                        map(_entry_fields, raw)))
-            if len(oracle) == len(raw):
-                return oracle
-        except (KeyError, TypeError):
-            pass
-        _reject_first_bad_entry(raw)
-
-
-def _reject_first_bad_entry(raw):
-    """Raise a ValueError that names the first entry of a parsed oracle.json
-    list at fault: a non-object, a missing field or a repeated group_id."""
-    seen = set()
-    for i, d in enumerate(raw):
-        for field in OracleEntry._fields:
-            if not isinstance(d, dict) or field not in d:
-                raise ValueError(f"oracle entry {i} has no {field!r} field")
-        if d["group_id"] in seen:
-            raise ValueError(f"oracle lists group_id {d['group_id']!r} more than once")
-        seen.add(d["group_id"])
+        if not isinstance(raw, list):
+            raise ValueError(f"{source}: expected a list of entries, got {type(raw).__name__}")
+        oracle = MislabelOracle(())
+        for i, d in enumerate(raw):
+            try:
+                e = OracleEntry(d["group_id"], d["assigned_label"], d["true_label"])
+            except (KeyError, TypeError):
+                name = next(f for f in OracleEntry._fields if not isinstance(d, dict) or f not in d)
+                raise ValueError(f"oracle entry {i} has no {name!r} field") from None
+            if e.group_id in oracle.entries:
+                raise ValueError(f"oracle lists group_id {e.group_id!r} more than once")
+            oracle.entries[e.group_id] = e
+        return oracle
 
 
 @dataclass

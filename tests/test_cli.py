@@ -1162,6 +1162,49 @@ class TestMalformedCheckpointSpec:
                 f"classes must be positive integers") in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["error.log"]
 
+    # a dense head composes at any input rank, so only the spec reader can
+    # tell that the input is no HxWxC grid
+    @pytest.mark.parametrize("size", [(16, 16), (16, 16, 3, 1)],
+                             ids=["rank-2-input", "rank-4-input"])
+    def test_dense_only_spec_of_another_rank_fails(self, tmp_path, capsys, size):
+        cfg_path, cfg = tiny_config(tmp_path)
+        main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
+        net = Network(NetworkSpec(size, (LayerSpec("dense", channels=4),), 4), seed=0)
+        ckpt = save_checkpoint(tmp_path / "w.ralw", net)
+        capsys.readouterr()
+        out = tmp_path / "ev"
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 1
+        assert (f"ral: error: {tmp_path / 'w.json'}: malformed network spec (ValueError("
+                f"'input must be [height, width, channels], got {list(size)}')"
+                in capsys.readouterr().err)
+        assert [p.name for p in out.iterdir()] == ["error.log"]
+
+
+class TestNonSquareCheckpoint:
+    # slides are cut into square cells, so both commands refuse a checkpoint
+    # of non-square input before they read a dataset or a slide
+    @pytest.mark.parametrize("command", ["eval", "predict-slide"])
+    def test_rejected_before_any_read(self, tmp_path, capsys, monkeypatch, command):
+        cfg_path, cfg = tiny_config(tmp_path)
+        main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
+        net = Network(NetworkSpec((16, 32, 3), (LayerSpec("dense", channels=4),), 4), seed=0)
+        ckpt = save_checkpoint(tmp_path / "w.ralw", net)
+        image = tmp_path / "slide.ppm"
+        save_image(image, np.full((32, 32, 3), 0.5, np.float32))
+        reads = []
+        monkeypatch.setattr(ExperimentConfig, "load_dataset",
+                            lambda self: reads.append("load_dataset"))
+        monkeypatch.setattr(cli, "load_slide", lambda *args: reads.append("load_slide"))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg_path), "--checkpoint", str(ckpt), "--out", str(out)]
+        assert main(argv + ["--image", str(image)] * (command == "predict-slide")) == 1
+        assert reads == []
+        assert (f"ral: error: checkpoint {ckpt} takes 16x32 (HxW) input, not square\n"
+                in capsys.readouterr().err)
+        assert [p.name for p in out.iterdir()] == ["error.log"]
+
 
 class TestOracleMetrics:
     # tau 0.24 removes part of the records; tau 0.5 empties the set, so
@@ -1270,6 +1313,27 @@ class TestOracleMetrics:
         path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no window and stride"):
             ExperimentConfig.from_dict(cfg).load_dataset()
+
+    # "16" would read as a grid that no tiling matches, and true as 1
+    @pytest.mark.parametrize("key, value", [("window", "16"), ("window", True),
+                                            ("window", 16.0), ("window", 0),
+                                            ("stride", "16"), ("stride", -16)],
+                             ids=["window-str", "window-bool", "window-float", "window-zero",
+                                  "stride-str", "stride-negative"])
+    def test_generator_json_grid_of_no_positive_integers_rejected(self, tmp_path, capsys,
+                                                                  key, value):
+        cfg_path, cfg = tiny_config(tmp_path)
+        main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
+        path = Path(cfg["dataset_path"]) / "generator.json"
+        meta = json.loads(path.read_text())
+        meta[key] = value
+        path.write_text(json.dumps(meta))
+        grid = {"window": 16, "stride": 16, key: value}
+        capsys.readouterr()
+        assert main(["ral", "--config", str(cfg_path)]) == 1
+        assert (f"ral: error: {path}: window and stride must be positive integers, "
+                f"got {grid['window']!r} and {grid['stride']!r}\n") in capsys.readouterr().err
+        assert [p.name for p in Path(cfg["output_dir"]).iterdir()] == ["error.log"]
 
     def test_unmodified_oracle_passes_the_label_check(self, tmp_path, monkeypatch):
         cfg_path, cfg = tiny_config(tmp_path, tau=0.24)  # a run that completes

@@ -397,6 +397,20 @@ class TestRunRal:
         for a, b in zip(net1.parameters(), net2.parameters()):
             np.testing.assert_array_equal(a, b)
 
+    # tau 0 prunes nothing; lr 0 keeps the zeroed net uniform over 4
+    # classes, so round 1 removes every record and the run halts
+    @pytest.mark.parametrize("tau, lr, classes, total", [
+        (0.0, 0.01, ("a", "b"), 3 + 2 + 2), (0.5, 0.0, ("a", "b", "c", "d"), 3)],
+        ids=["completed", "halted"])
+    def test_epochs_are_counted_from_the_logs(self, tau, lr, classes, total):
+        config = RalConfig(tau=tau, iterations=2, max_epochs=3, finetune_epochs=2,
+                           learning_rate=lr, batch_size=8, seed=6)
+        result = run_ral(zeroed(dense_net(classes=len(classes))), toy_set(classes=classes),
+                         config)
+        assert result.total_epochs == total
+        epochs = [s.epoch for log in result.epoch_logs for s in log]
+        assert epochs == list(range(total))
+
     def test_bookkeeping_reconciles_and_counts_monotone(self):
         ts = toy_set(n_per_class=4, seed=2)
         config = RalConfig(iterations=3, max_epochs=4, finetune_epochs=1,

@@ -265,6 +265,16 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="oracle entry 2 has no 'group_id' field"):
             load_dataset(root)
 
+    @pytest.mark.parametrize("text, kind", [("5", "int"), ("null", "NoneType"),
+                                            ("{}", "dict"), ('"x"', "str")])
+    def test_oracle_that_is_no_list_rejected(self, tmp_path, text, kind):
+        # {} would read as an empty oracle
+        root = write_dataset(generate(small_spec(slides_per_class=3)), tmp_path / "data")
+        (root / "oracle.json").write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(root / 'oracle.json'))}: "
+                                             f"expected a list of entries, got {kind}$"):
+            load_dataset(root)
+
     def test_duplicate_group_id_rejected(self, tmp_path):
         root = write_dataset(generate(small_spec(slides_per_class=3)), tmp_path / "data")
         entries = json.loads((root / "oracle.json").read_text())
