@@ -87,13 +87,20 @@ def class_names_of(root):
 
 def load_dataset(root, val_fraction=0.2, seed=0):
     """(train_slides, val_slides, class_names, oracle-or-None). The layout
-    is checked before ``oracle.json`` is read or any slide decoded."""
+    is checked before ``oracle.json`` is read, and every oracle label is one
+    of the class names, before any slide is decoded."""
     splits, class_names = _layout(root)
     root = Path(root)
     oracle = None
     oracle_path = root / "oracle.json"
     if oracle_path.exists():
         oracle = MislabelOracle.from_json(oracle_path.read_text(), oracle_path)
+        known = set(class_names)
+        for e in oracle.entries.values():
+            if e.assigned_label not in known or e.true_label not in known:
+                label = e.true_label if e.assigned_label in known else e.assigned_label
+                raise ValueError(f"{oracle_path}: group {e.group_id!r} has label {label!r}, "
+                                 f"which is no class of the dataset ({', '.join(class_names)})")
         if (root / "generator.json").exists():
             meta = json.loads((root / "generator.json").read_text())
             if not isinstance(meta, dict) or not {"window", "stride"} <= meta.keys():

@@ -165,9 +165,11 @@ def build_classifier(input_size, channel_plan, in_channels=3, classes=4):
 
 # Samples per forward() call of a predict_proba pass, for the scoring
 # pass, a slide's grid and a whole evaluation split alike, at every input
-# size, in one lane or in each of two. The chunk size never changes the
-# bytes, since every sample is forwarded on its own arithmetic, but it does
-# change the time, as the patch matrices grow with the chunk. One lane of
+# size, in one lane or in each of two. On a GEMM kernel that gives each
+# column the same bytes however the columns are split (OpenBLAS's SkylakeX
+# one), the chunk size and a chunk's other samples never change a
+# sample's bytes; on the Haswell and Zen kernels they can (README). The
+# chunk size changes the time, as the GEMMs widen with the chunk. One lane of
 # plan 8/16/8 (one OpenBLAS thread, a 2-core x86 host, best of 15) took
 # 124 us a record at 32 samples of 32x32 against 136 us at 64; at 16x16,
 # 37.7 against 37.1 us.

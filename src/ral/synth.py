@@ -155,7 +155,8 @@ class MislabelOracle:
         """The oracle that ``text``, the JSON list of ``to_json``, holds, its
         entries in list order. Raises a ValueError, naming ``source``, for
         anything but a list, and else at the first entry at fault: one that
-        is no object or lacks a field, or a repeat of an earlier group_id."""
+        is no object or lacks a field, one with a field that is no string
+        (naming ``source``), or a repeat of an earlier group_id."""
         raw = json.loads(text)
         if not isinstance(raw, list):
             raise ValueError(f"{source}: expected a list of entries, got {type(raw).__name__}")
@@ -166,6 +167,12 @@ class MislabelOracle:
             except (KeyError, TypeError):
                 name = next(f for f in OracleEntry._fields if not isinstance(d, dict) or f not in d)
                 raise ValueError(f"oracle entry {i} has no {name!r} field") from None
+            # a null label would count as a mislabel, and a list id is unhashable
+            if not (isinstance(e.group_id, str) and isinstance(e.assigned_label, str)
+                    and isinstance(e.true_label, str)):
+                name, value = next((f, v) for f, v in zip(e._fields, e) if not isinstance(v, str))
+                raise ValueError(f"{source}: oracle entry {i}'s {name} must be a string, "
+                                 f"got {type(value).__name__}")
             if e.group_id in oracle.entries:
                 raise ValueError(f"oracle lists group_id {e.group_id!r} more than once")
             oracle.entries[e.group_id] = e

@@ -1335,6 +1335,20 @@ class TestOracleMetrics:
                 f"got {grid['window']!r} and {grid['stride']!r}\n") in capsys.readouterr().err
         assert [p.name for p in Path(cfg["output_dir"]).iterdir()] == ["error.log"]
 
+    def test_null_true_label_rejected(self, tmp_path, capsys):
+        # it loaded, and counted its group as mislabeled
+        cfg_path, cfg = tiny_config(tmp_path)
+        main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])
+        path = Path(cfg["dataset_path"]) / "oracle.json"
+        entries = json.loads(path.read_text())
+        entries[3]["true_label"] = None
+        path.write_text(json.dumps(entries))
+        capsys.readouterr()
+        assert main(["ral", "--config", str(cfg_path)]) == 1
+        assert (f"ral: error: {path}: oracle entry 3's true_label must be a string, "
+                f"got NoneType\n") in capsys.readouterr().err
+        assert [p.name for p in Path(cfg["output_dir"]).iterdir()] == ["error.log"]
+
     def test_unmodified_oracle_passes_the_label_check(self, tmp_path, monkeypatch):
         cfg_path, cfg = tiny_config(tmp_path, tau=0.24)  # a run that completes
         main(["generate", "--config", str(cfg_path), "--out", cfg["dataset_path"]])

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 from ral.imageio import save_ralt
 from ral.nn import (LayerSpec, Network, NetworkSpec, build_classifier, load_checkpoint,
                     save_checkpoint, softmax)
-from ral.nn import Conv2d, network
+from ral.nn import Conv2d, layers, network
 from ral.nn.network import PREDICT_CHUNK
 
 FULL_SCALE_TRUNK = [
@@ -403,23 +404,63 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(network, "_cpus", lambda: 2)
 
 
-@pytest.mark.parametrize("size", [16, 32], ids=["16x16", "32x32"])
-def test_predict_proba_matches_training_forward_bytes(two_cpus, size):
-    # the read-only path builds no caches but must compute the same bytes as
-    # the training path, chunk by chunk, across several chunks, in two lanes
-    # at every input size
-    net = Network(build_classifier(size, (2, 4, 2)), seed=12)
+# (input size, channel plan): at 16x16 every 3x3 conv's patch matrix fits
+# one block; at 64x64 the stem's spans seven, the last one narrower
+@pytest.mark.parametrize("size, plan", [(16, (2, 4, 2)), (32, (2, 4, 2)), (64, (8, 16, 8))],
+                         ids=["16x16", "32x32", "64x64"])
+def test_predict_proba_matches_training_forward_bytes(two_cpus, monkeypatch, size, plan):
+    # the read-only path builds no caches and shifts one column block at a
+    # time, but must compute the same bytes as the training path, chunk by
+    # chunk, across several chunks, in two lanes at every input size
+    splits = []
+
+    def recorded(rows, length, itemsize):
+        width = block_width(rows, length, itemsize)
+        splits.append((length, width))
+        return width
+
+    block_width = layers._block_width
+    monkeypatch.setattr(layers, "_block_width", recorded)
+    net = Network(build_classifier(size, plan), seed=12)
     rng = np.random.default_rng(13)
     x = rng.random((2 * PREDICT_CHUNK + 7, size, size, 3), dtype=np.float32)
     expected = np.concatenate([softmax(net.logits(x[i:i + PREDICT_CHUNK], keep_caches=True)[0])
                                for i in range(0, len(x), PREDICT_CHUNK)])
+    trained = len(splits)
     batch = Gathers(x)
     got = net.predict_proba(batch)
     assert len(set(batch.threads)) == 2
+    # both modes split each of the seven 3x3 convs of each of 3 chunks alike
+    assert trained == 7 * 3 and sorted(splits[:trained]) == sorted(splits[trained:])
+    if size == 16:
+        assert all(width == length for length, width in splits)
+    if size == 64:
+        assert any(length > 2 * width and length % width for length, width in splits)
     assert got.dtype == expected.dtype
     np.testing.assert_array_equal(got, expected)
     rows = np.arange(len(x))[::-3]
     np.testing.assert_array_equal(net.predict_proba(x, rows), net.predict_proba(x[rows]))
+
+
+# a read-only forward of 32 samples, plan 8/16/8, holds at most its stem's
+# column block, not its whole patch matrix: the whole matrices peaked at
+# 4.65 MiB at 32x32, where the stem's 3.76 MB spans two blocks. At 16x16
+# every matrix fits one block, and the peak stays at the whole matrices'
+# 1.2346 MiB (1.2347 on Python 3.11: 80 bytes of Python objects more); a
+# block pass that keeps the padded grid alive across its GEMM reads
+# 1.34 MiB. The bounds leave room for another Python's objects.
+@pytest.mark.parametrize("size, bound_mib", [(16, 1.24), (32, 3.65)], ids=["16x16", "32x32"])
+def test_read_only_forward_holds_one_patch_block(size, bound_mib):
+    net = Network(build_classifier(size, (8, 16, 8)), seed=3)
+    x = np.random.default_rng(4).random((PREDICT_CHUNK, size, size, 3), dtype=np.float32)
+    net.forward(x)
+    tracemalloc.start()
+    try:
+        net.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2 ** 20
 
 
 @pytest.mark.parametrize("size", [16, 32], ids=["16x16", "32x32"])

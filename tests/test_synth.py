@@ -275,6 +275,18 @@ class TestRoundTrip:
                                              f"expected a list of entries, got {kind}$"):
             load_dataset(root)
 
+    @pytest.mark.parametrize("field", ["assigned_label", "true_label"])
+    def test_oracle_label_of_no_class_rejected(self, tmp_path, field):
+        # a string that names no class would load, and count as a mislabel
+        root = write_dataset(generate(small_spec(slides_per_class=3)), tmp_path / "data")
+        entries = json.loads((root / "oracle.json").read_text())
+        entries[4][field] = "Stroma"
+        (root / "oracle.json").write_text(json.dumps(entries))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{root / 'oracle.json'}: group {entries[4]['group_id']!r} has label "
+                f"'Stroma', which is no class of the dataset")):
+            load_dataset(root)
+
     def test_duplicate_group_id_rejected(self, tmp_path):
         root = write_dataset(generate(small_spec(slides_per_class=3)), tmp_path / "data")
         entries = json.loads((root / "oracle.json").read_text())
@@ -288,20 +300,32 @@ class TestRoundTrip:
             load_dataset(root)
 
 
-@pytest.mark.parametrize("first", ["duplicate", "missing"])
+# (field, value) put in the bad entry; "missing" deletes true_label instead.
+# A null label counted as a mislabel, and a list id was unhashable.
+BAD_FIELD = {"missing": ("true_label", None), "null-true_label": ("true_label", None),
+             "list-group_id": ("group_id", ["s", 0]), "int-assigned_label": ("assigned_label", 1)}
+
+
+@pytest.mark.parametrize("first", ["duplicate", *BAD_FIELD])
 def test_oracle_reports_its_first_bad_entry(first):
     entries = [{"group_id": f"s/{i}/0", "assigned_label": "A", "true_label": "A"}
                for i in range(12)]
-    dup, missing = (5, 9) if first == "duplicate" else (9, 5)
+    dup, bad = (5, 9) if first == "duplicate" else (9, 5)
     entries[dup] = dict(entries[0])
-    del entries[missing]["true_label"]
+    field, value = BAD_FIELD.get(first, BAD_FIELD["missing"])
+    if first in ("duplicate", "missing"):
+        del entries[bad][field]
+    else:
+        entries[bad][field] = value
     message = ("group_id 's/0/0' more than once" if first == "duplicate"
-               else f"oracle entry {missing} has no 'true_label' field")
+               else f"oracle entry {bad} has no 'true_label' field" if first == "missing"
+               else f"oracle.json: oracle entry {bad}'s {field} must be a string, "
+                    f"got {type(value).__name__}")
     with pytest.raises(ValueError, match=re.escape(message)):
         MislabelOracle.from_json(json.dumps(entries))
-    entries[missing]["true_label"] = "B"
+    entries[bad].update(group_id=f"s/{bad}/0", assigned_label="A", true_label="B")
     entries[dup]["group_id"] = "s/99/0"
     oracle = MislabelOracle.from_json(json.dumps(entries))
     assert list(oracle.entries) == [e["group_id"] for e in entries]
-    fixed = entries[missing]
+    fixed = entries[bad]
     assert oracle.entries[fixed["group_id"]] == OracleEntry(fixed["group_id"], "A", "B")
